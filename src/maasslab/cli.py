@@ -21,15 +21,16 @@ from mpmath import mp
 
 from . import __version__
 from .context import PrecisionContext
-from .exact import (chi12, dedekind_sum, kloosterman_A, lehmer_ratios,
-                    partial_sum_S, s_coeff, spt, trace_cm_exact)
+from .exact import (chi12, dedekind_sum, is_square, kloosterman_A,
+                    lehmer_ratios, partial_sum_S, s_coeff, spt,
+                    trace_cm_exact)
 from .classnum import hstar, hurwitz_H
 from .bqf import enumerate_classes
 from .matrices import S_MAT
 from .modforms import (F_expansion, eta_eval, eta_qexp, f_eval, f_qexp,
                        gd_construct, hd_construct)
 from .spectral import (assemble_H, assemble_Z, build_trace_table, coeff_a,
-                       delta_op, eval_H, eval_Z, finite_part_prediction,
+                       delta_op, finite_part_prediction,
                        modularity_residual, pole_finite_part, pole_residue,
                        xi_op)
 from .exact import eta_multiplier
@@ -187,9 +188,9 @@ def cmd_eval(args):
         val = F_expansion(24 * (args.n_max // 24 + 1), ctx).eval(tau, ctx)
     elif which == "H":
         traces = build_trace_table(args.n_max, ctx, c_max=min(args.c_max, 4000))
-        val = eval_H(tau, assemble_H(args.n_max, traces=traces, ctx=ctx), ctx)
+        val = assemble_H(args.n_max, traces=traces, ctx=ctx).eval(tau, ctx)
     elif which == "Z":
-        val = eval_Z(tau, assemble_Z(args.n_max, ctx), ctx)
+        val = assemble_Z(args.n_max, ctx).eval(tau, ctx)
     else:
         raise ValueError(f"unknown family {which}")
     return _emit(args, f"eval {which}", {"x": args.x, "y": args.y},
@@ -204,15 +205,10 @@ def cmd_innerprod(args):
         res = ip_level4(args.d, Y=args.Y, ctx=ctx)
     values = {"closed": res.closed, "numeric": res.numeric,
               "discrepancy": res.discrepancy}
-    if args.level == "level4" and not _is_square(args.d):
+    if args.level == "level4" and not is_square(args.d):
         values["plain_reg"] = plain_reg_closed(args.d, ctx)
     return _emit(args, f"innerprod {args.level}", {"d": args.d, "Y": args.Y},
                  values, err_est=res.discrepancy)
-
-
-def _is_square(n):
-    import math
-    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def cmd_verify(args):

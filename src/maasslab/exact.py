@@ -2,14 +2,17 @@
 system, generalized Kloosterman sums A_c(n), the Kronecker character chi_12,
 and partition statistics p(n), spt(n), s(n).
 
-Everything here is pure and deterministic; the only floating point lives in
-the vectorized Kloosterman scans, which are cross-checked against the exact
-rational-phase evaluation in the tests.
+Everything here is pure and deterministic.  The exact sums share one kernel:
+integer phase numerators mod N summed as N-th roots of unity.  The only
+floating point lives in the vectorized Kloosterman scan, which uses the
+Selberg-Whiteman formula (no Dedekind sums) and is cross-checked against the
+exact Dedekind-phase evaluation in the tests.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,20 +55,6 @@ def dedekind_sum(d: int, c: int) -> Fraction:
     # s(d,c) = (d^2+c^2+1)/(12dc) - 1/4 - s(c mod d, d)
     while d > 0:
         total += sign * (Fraction(d * d + c * c + 1, 12 * d * c) - Fraction(1, 4))
-        sign = -sign
-        d, c = c % d, d
-    return total
-
-
-def _dedekind_float(d: int, c: int) -> float:
-    """Float64 descent, used only inside the big Kloosterman scans.
-
-    Absolute error stays below ~1e-12 for c up to 10^4."""
-    d %= c
-    total = 0.0
-    sign = 1.0
-    while d > 0:
-        total += sign * ((d * d + c * c + 1) / (12.0 * d * c) - 0.25)
         sign = -sign
         d, c = c % d, d
     return total
@@ -202,98 +191,85 @@ def omega0(c: int) -> int:
 # Kloosterman sums
 # ---------------------------------------------------------------------------
 
+def _root_sum(numerators, N: int, ctx: PrecisionContext):
+    """sum_k e(k/N) over the integer numerators k.
+
+    Each k is reduced mod N in integers and each distinct root of unity is
+    evaluated once, weighted by its multiplicity (increasing k, so the
+    summation order is fixed)."""
+    counts = Counter(k % N for k in numerators)
+    with ctx.workprec() as w:
+        total = w.mpc(0)
+        for k in sorted(counts):
+            total += counts[k] * w.expjpi(2 * w.mpf(k) / N)
+        return total
+
+
+def _units(c: int) -> list:
+    """The residues d mod c with (d, c) = 1."""
+    if c < 1:
+        raise ValueError("modulus must be positive")
+    return [d for d in range(c) if math.gcd(d, c) == 1]
+
+
+def _eta_phase(d: int, c: int, sfun=dedekind_sum) -> int:
+    """6c s(d,c), an integer: the phase e^{pi i s(d,c)} is e(6c s(d,c) / 12c)."""
+    x = 6 * c * sfun(d, c)
+    if x.denominator != 1:
+        raise ArithmeticError("6c s(d,c) must be integral")
+    return int(x)
+
+
 def kloosterman_A(c: int, m: int, ctx: PrecisionContext = DEFAULT_CTX,
                   method: str = "fast"):
     """A_c(m) = sum_{d mod c, (d,c)=1} e^{pi i s(d,c)} e(-d m / c).
 
-    Phases are exact rationals (in turns) reduced mod 1 before a single
-    complex exponential per term.  method 'direct' forces the defining-sum
-    Dedekind evaluation, 'fast' the reciprocity descent."""
-    if c < 1:
-        raise ValueError("modulus must be positive")
+    Phases are exact integers mod 12c summed as roots of unity.  method
+    'direct' forces the defining-sum Dedekind evaluation, 'fast' the
+    reciprocity descent."""
     sfun = dedekind_sum if method == "fast" else dedekind_sum_direct
-    with ctx.workprec() as w:
-        total = w.mpc(0)
-        for d in range(c):
-            if math.gcd(d, c) != 1:
-                continue
-            phase = sfun(d, c) / 2 - Fraction(d * m, c)
-            phase -= math.floor(phase)
-            total += w.expjpi(2 * w.mpf(phase.numerator) / phase.denominator)
-        return total
+    return _root_sum((_eta_phase(d, c, sfun) - 12 * d * m for d in _units(c)),
+                     12 * c, ctx)
 
 
 def kloosterman_k(a: int, b: int, c: int, ctx: PrecisionContext = DEFAULT_CTX):
     """Ordinary Kloosterman sum k(a,b;c) = sum e((a dbar + b d)/c)."""
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    with ctx.workprec() as w:
-        total = w.mpc(0)
-        for d in range(c):
-            if math.gcd(d, c) != 1:
-                continue
-            dbar = pow(d, -1, c) if c > 1 else 0
-            phase = Fraction(a * dbar + b * d, c)
-            phase -= math.floor(phase)
-            total += w.expjpi(2 * w.mpf(phase.numerator) / phase.denominator)
-        return total
+    return _root_sum((a * pow(d, -1, c) + b * d for d in _units(c)), c, ctx)
 
 
 def kloosterman_K_eta(m: int, n: int, c: int,
                       ctx: PrecisionContext = DEFAULT_CTX):
     """K(m,n;c) = sum_{d mod c, (d,c)=1} e^{pi i s(d,c)} e((dbar m + d n)/c),
     the eta-multiplier Kloosterman sum; satisfies A_c(n) = K(0,-n,c)."""
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    with ctx.workprec() as w:
-        total = w.mpc(0)
-        for d in range(c):
-            if math.gcd(d, c) != 1:
-                continue
-            dbar = pow(d, -1, c) if c > 1 else 0
-            phase = dedekind_sum(d, c) / 2 + Fraction(dbar * m + d * n, c)
-            phase -= math.floor(phase)
-            total += w.expjpi(2 * w.mpf(phase.numerator) / phase.denominator)
-        return total
-
-
-def _dedekind_float_vec(ds: np.ndarray, c: int) -> np.ndarray:
-    """Vectorized float64 reciprocity descent for all d in ds (coprime to c)."""
-    D = ds.astype(np.int64) % c
-    C = np.full(len(ds), c, dtype=np.int64)
-    total = np.zeros(len(ds))
-    sign = np.ones(len(ds))
-    active = D > 0
-    while active.any():
-        Da = D[active].astype(np.float64)
-        Ca = C[active].astype(np.float64)
-        total[active] += sign[active] * ((Da * Da + Ca * Ca + 1.0)
-                                         / (12.0 * Da * Ca) - 0.25)
-        sign[active] = -sign[active]
-        Dn = C[active] % D[active]
-        C[active] = D[active]
-        D[active] = Dn
-        active = D > 0
-    return total
+    return _root_sum((_eta_phase(d, c) + 12 * (pow(d, -1, c) * m + d * n)
+                      for d in _units(c)), 12 * c, ctx)
 
 
 @lru_cache(maxsize=8)
 def kloosterman_table(c_max: int, ms: tuple) -> dict:
     """Vectorized scan of A_c(m) for 1 <= c <= c_max and every m in ms.
 
-    Returns {m: float64 array A of length c_max+1 with A[c] = A_c(m)}.
-    A_c(m) is real: the d and c-d terms are complex conjugates since
-    s(c-d,c) = -s(d,c).  Summation order is fixed (increasing d) so the
-    output is deterministic."""
+    Returns {m: float64 array A of length c_max+1 with A[c] = A_c(m)}, from
+    the Selberg-Whiteman formula (no Dedekind sums)
+
+        A_c(m) = sqrt(c/3) sum_{l mod 2c, (3l^2+l)/2 = -m (c)}
+                 (-1)^l cos((6l+1) pi / 6c).
+
+    For each c one bincount over l gives the sum for every residue of -m;
+    only the requested columns are kept.  Summation order is fixed
+    (increasing l), so the output is deterministic."""
     ms = tuple(ms)
     out = {m: np.zeros(c_max + 1) for m in ms}
     for m in ms:
         out[m][1] = 1.0
     for c in range(2, c_max + 1):
-        ds = np.nonzero(np.gcd(np.arange(c), c) == 1)[0]
-        base = np.pi * _dedekind_float_vec(ds, c)
+        ls = np.arange(2 * c, dtype=np.int64)
+        terms = np.cos(np.pi * (6 * ls + 1) / (6 * c))
+        terms[1::2] *= -1.0
+        sums = np.bincount((ls * (3 * ls + 1) // 2) % c, weights=terms, minlength=c)
+        scale = math.sqrt(c / 3)
         for m in ms:
-            out[m][c] = np.cos(base - (2.0 * np.pi * m / c) * ds).sum()
+            out[m][c] = scale * sums[(-m) % c]
     return out
 
 

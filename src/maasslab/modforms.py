@@ -9,10 +9,13 @@ the weight 3/2 level-1 family h_d = P_d(j) * (-Theta(j)/eta) with exponents
 in (1/24)Z, and the weight 3/2 level-4 plus-space family g_d with integer
 exponents supported on n = 0,3 mod 4.
 
-Evaluation side: eta and the Eisenstein series are evaluated by reducing the
-argument to the SL2(Z) fundamental domain step by step (tracking the
-automorphy factor along the way), then summing the rapidly convergent
-q-series; f is assembled from the level-1 blocks at tau, 2tau, 3tau, 6tau.
+Evaluation side: one helper reduces the argument to the SL2(Z) fundamental
+domain and records the total T-shift and the points of the S-steps; eta and
+the Eisenstein series build their automorphy factors from that record and sum
+one rapidly convergent q-series at the reduced point (the pentagonal series
+for eta, Horner on the integer coefficients for E4/E6).  f is assembled from
+the level-1 blocks at tau, 2tau, 3tau, 6tau, each reduced once for both eta
+and E4.
 """
 
 from __future__ import annotations
@@ -34,41 +37,48 @@ from .qseries import (QSeries, eisenstein_E4, eisenstein_E6, eta_series,
 # Point evaluation with fundamental-domain reduction
 # ---------------------------------------------------------------------------
 
-def eta_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
-    """Dedekind eta via reduction; each S-step contributes 1/sqrt(-i tau)."""
-    with mp.workdps(ctx.digits + 10):
-        tau = mp.mpc(tau)
-        if tau.imag <= 0:
-            raise ValueError("point must be in the upper half plane")
-        factor = mp.mpc(1)
-        cur = tau
-        for _ in range(10_000):
-            k = int(mp.nint(cur.real))
-            if k:
-                # eta(cur) = e(k/24) eta(cur - k)
-                factor *= mp.expjpi(mp.mpf(2 * k) / 24)
-                cur = cur - k
-            if abs(cur) < 1 - mp.mpf(10) ** (-mp.dps + 2):
-                # eta(cur) = eta(-1/cur) / sqrt(-i cur)
-                factor /= mp.sqrt(-1j * cur)
-                cur = -1 / cur
-            else:
-                break
-        # pentagonal series at the reduced point
-        w = mp.expjpi(2 * cur / 24)
-        total = mp.mpc(0)
-        k = 0
-        eps = mp.mpf(10) ** (-(ctx.digits + 8))
-        while True:
-            added = abs(w) ** ((6 * k + 1) ** 2)
-            for m in ((6 * k + 1), (6 * k - 1) if k else None):
-                if m is None:
-                    continue
-                total += (-1) ** k * w ** (m * m)
-            if added < eps and k > 1:
-                break
-            k += 1
-        return +(factor * total)
+def _reduce(tau):
+    """Reduce tau into the SL2(Z) fundamental domain by T- and S-steps.
+
+    Returns (z, shift, s_points): the reduced point, the total T-shift, and
+    the points p at which each S-step p -> -1/p was taken.  The automorphy
+    factors follow from these alone:
+
+        eta(tau) = e(shift/24) prod_p (-i p)^{-1/2} eta(z),
+        E_k(tau) = prod_p p^{-k} E_k(z)."""
+    shift = 0
+    s_points = []
+    cur = tau
+    for _ in range(10_000):
+        k = int(mp.nint(cur.real))
+        if k:
+            shift += k
+            cur = cur - k
+        if abs(cur) < 1 - mp.mpf(10) ** (-mp.dps + 2):
+            s_points.append(cur)
+            cur = -1 / cur
+        else:
+            break
+    return cur, shift, s_points
+
+
+def _fd_terms_needed(extra_digits: int = 10) -> int:
+    # |q| <= e^{-pi sqrt(3)} in the fundamental domain
+    return int((mp.dps + extra_digits) * mp.log(10) / (mp.pi * mp.sqrt(3))) + 4
+
+
+@lru_cache(maxsize=8)
+def _pentagonal(gmax: int) -> tuple:
+    """(g, sign) for the generalized pentagonal numbers 0 < g <= gmax in
+    increasing order: prod (1 - q^n) = 1 + sum sign q^g (Euler)."""
+    pents = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= gmax:
+        sign = -1 if k % 2 else 1
+        pents += [(g, sign) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+                  if g <= gmax]
+        k += 1
+    return tuple(sorted(pents))
 
 
 @lru_cache(maxsize=8)
@@ -77,33 +87,52 @@ def _eis_coeffs(weight: int, nterms: int) -> tuple:
     return tuple(series.coeffs)
 
 
-def _fd_terms_needed(extra_digits: int = 10) -> int:
-    # |q| <= e^{-pi sqrt(3)} in the fundamental domain
-    return int((mp.dps + extra_digits) * mp.log(10) / (mp.pi * mp.sqrt(3))) + 4
+def _eta_reduced(red):
+    """(eta(tau), q) from the reduction red = (z, shift, s_points) of tau,
+    with q = e(z): the pentagonal series at z times the automorphy factor."""
+    z, shift, s_points = red
+    w = mp.expjpi(z / 12)
+    q = w ** 24
+    total = mp.mpc(1)
+    qpow = mp.mpc(1)
+    cur_exp = 0
+    for g, sign in _pentagonal(_fd_terms_needed()):
+        while cur_exp < g:
+            qpow *= q
+            cur_exp += 1
+        total += sign * qpow
+    factor = mp.expjpi(mp.mpf(shift % 24) / 12)
+    for p in s_points:
+        factor /= mp.sqrt(-1j * p)
+    return factor * w * total, q
+
+
+def _eis_reduced(red, weight: int, q):
+    """E_weight(tau) from the reduction red of tau, with q = e(z): Horner on
+    the integer q-series at z times the automorphy factor."""
+    n = _fd_terms_needed()
+    coeffs = _eis_coeffs(weight, n + 1)
+    total = mp.mpc(coeffs[n])
+    for c in reversed(coeffs[:n]):
+        total = total * q + c
+    for p in red[2]:
+        total *= p ** (-weight)
+    return total
+
+
+def eta_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
+    """Dedekind eta via reduction; each S-step contributes 1/sqrt(-i tau)."""
+    with mp.workdps(ctx.digits + 10):
+        tau = mp.mpc(tau)
+        if tau.imag <= 0:
+            raise ValueError("point must be in the upper half plane")
+        return +_eta_reduced(_reduce(tau))[0]
 
 
 def _eis_eval(tau, weight: int, ctx: PrecisionContext):
     with mp.workdps(ctx.digits + 10):
-        tau = mp.mpc(tau)
-        factor = mp.mpc(1)
-        cur = tau
-        for _ in range(10_000):
-            k = int(mp.nint(cur.real))
-            if k:
-                cur = cur - k
-            if abs(cur) < 1 - mp.mpf(10) ** (-mp.dps + 2):
-                # E(cur) = cur^{-weight} E(-1/cur)
-                factor *= cur ** (-weight)
-                cur = -1 / cur
-            else:
-                break
-        q = mp.expjpi(2 * cur)
-        n = _fd_terms_needed()
-        coeffs = _eis_coeffs(weight, n + 1)
-        total = mp.mpc(coeffs[n])
-        for c in reversed(coeffs[:n]):
-            total = total * q + c
-        return +(factor * total)
+        red = _reduce(mp.mpc(tau))
+        return +_eis_reduced(red, weight, mp.expjpi(2 * red[0]))
 
 
 def E4_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
@@ -126,50 +155,11 @@ def j_eval(tau, ctx: PrecisionContext = DEFAULT_CTX, method: str = "delta"):
     raise ValueError("method must be 'delta' or 'e6'")
 
 
-def _eta_e4_at(tau, ctx: PrecisionContext):
-    """(eta(tau), E4(tau)) with a single fundamental-domain reduction."""
-    eta_factor = mp.mpc(1)
-    e4_factor = mp.mpc(1)
-    cur = tau
-    for _ in range(10_000):
-        k = int(mp.nint(cur.real))
-        if k:
-            eta_factor *= mp.expjpi(mp.mpf(2 * k) / 24)
-            cur = cur - k
-        if abs(cur) < 1 - mp.mpf(10) ** (-mp.dps + 2):
-            eta_factor /= mp.sqrt(-1j * cur)
-            e4_factor *= cur ** (-4)
-            cur = -1 / cur
-        else:
-            break
-    w = mp.expjpi(2 * cur / 24)
-    q = w ** 24
-    # eta: pentagonal series sum (-1)^k q^{g_k} with g = k(3k+-1)/2, times w
-    gmax = _fd_terms_needed()
-    gaps = []
-    k, g = 1, 0
-    pents = []
-    while g <= gmax or len(pents) < 4:
-        for gg in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            pents.append((gg, -1 if k % 2 else 1))
-        g = pents[-1][0]
-        k += 1
-    eta_sum = mp.mpc(1)
-    qpow = mp.mpc(1)
-    cur_exp = 0
-    for gg, sign in sorted(pents):
-        if gg > gmax:
-            break
-        while cur_exp < gg:
-            qpow *= q
-            cur_exp += 1
-        eta_sum += sign * qpow
-    n = _fd_terms_needed()
-    coeffs = _eis_coeffs(4, n + 1)
-    e4_sum = mp.mpc(coeffs[n])
-    for c in reversed(coeffs[:n]):
-        e4_sum = e4_sum * q + c
-    return eta_factor * w * eta_sum, e4_factor * e4_sum
+def _eta_e4_at(tau):
+    """(eta(tau), E4(tau)) from a single fundamental-domain reduction."""
+    red = _reduce(tau)
+    eta, q = _eta_reduced(red)
+    return eta, _eis_reduced(red, 4, q)
 
 
 def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
@@ -179,7 +169,7 @@ def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
         tau = mp.mpc(tau)
         if tau.imag <= 0:
             raise ValueError("point must be in the upper half plane")
-        vals = [_eta_e4_at(k * tau, ctx) for k in (1, 2, 3, 6)]
+        vals = [_eta_e4_at(k * tau) for k in (1, 2, 3, 6)]
         den = (vals[0][0] * vals[1][0] * vals[2][0] * vals[3][0]) ** 2
         if den == 0:
             raise ArithmeticError("eta-product denominator numerically degenerate")

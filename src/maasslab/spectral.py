@@ -165,29 +165,51 @@ def s_grid(k_max: int = 6, base="0.01"):
     return [mp.mpf(3) / 4 + mp.mpf(base) * mp.mpf(2) ** (-k) for k in range(k_max + 1)]
 
 
+def _extrapolate(hs, vals, errs):
+    """neville_at_zero plus the propagated coefficient error: the value at
+    h = 0 is sum_k L_k(0) v_k with the Lagrange weights L_k, so errors e_k
+    in the v_k move it by at most sum_k |L_k(0)| e_k."""
+    value, spread = neville_at_zero(hs, vals)
+    for k, hk in enumerate(hs):
+        weight = mp.mpf(1)
+        for j, hj in enumerate(hs):
+            if j != k:
+                weight *= hj / (hj - hk)
+        spread += abs(weight) * errs[k]
+    return value, spread
+
+
 def pole_residue(n: int, c_max: int = 10_000,
                  ctx: PrecisionContext = DEFAULT_CTX, table: dict | None = None):
-    """lim (s-3/4) c(s) a(n,s), extrapolated; should equal chi12(sqrt n)."""
+    """lim (s-3/4) c(s) a(n,s), extrapolated; should equal chi12(sqrt n).
+
+    Returns (value, spread): the Neville spread plus the propagated c_max
+    truncation error of the coefficients."""
     grid = s_grid()
-    vals = []
+    vals, errs = [], []
     for s in grid:
         a = coeff_a(n, s, c_max, ctx, table)
-        vals.append((s - mp.mpf(3) / 4) * c_factor(s, ctx) * a.value)
+        factor = (s - mp.mpf(3) / 4) * c_factor(s, ctx)
+        vals.append(factor * a.value)
+        errs.append(abs(factor) * a.err_est)
     hs = [s - mp.mpf(3) / 4 for s in grid]
-    return neville_at_zero(hs, vals)
+    return _extrapolate(hs, vals, errs)
 
 
 def pole_finite_part(n: int, c_max: int = 10_000,
                      ctx: PrecisionContext = DEFAULT_CTX, table: dict | None = None):
-    """Constant term of c(s) a(n,s) at s = 3/4 for square n, extrapolated."""
+    """Constant term of c(s) a(n,s) at s = 3/4 for square n, extrapolated;
+    the spread is formed as in pole_residue."""
     chi = chi12_sqrt(n)
     grid = s_grid()
-    vals = []
+    vals, errs = [], []
     for s in grid:
         a = coeff_a(n, s, c_max, ctx, table)
-        vals.append(c_factor(s, ctx) * a.value - chi / (s - mp.mpf(3) / 4))
+        factor = c_factor(s, ctx)
+        vals.append(factor * a.value - chi / (s - mp.mpf(3) / 4))
+        errs.append(abs(factor) * a.err_est)
     hs = [s - mp.mpf(3) / 4 for s in grid]
-    return neville_at_zero(hs, vals)
+    return _extrapolate(hs, vals, errs)
 
 
 def finite_part_prediction(n: int, ctx: PrecisionContext = DEFAULT_CTX,
@@ -323,14 +345,6 @@ def zhatplus_expansion(n_max: int, ctx: PrecisionContext = DEFAULT_CTX) -> Harmo
         base.specials = list(base.specials) + [("const_times_theta_shift", Fraction(1))]
         base.label = "Zhatplus-display"
         return base
-
-
-def eval_H(tau, expansion: HarmonicExpansion, ctx: PrecisionContext = DEFAULT_CTX):
-    return expansion.eval(tau, ctx)
-
-
-def eval_Z(tau, expansion: HarmonicExpansion, ctx: PrecisionContext = DEFAULT_CTX):
-    return expansion.eval(tau, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -60,14 +60,18 @@ def trace_cm(n: int, ctx: PrecisionContext = DEFAULT_CTX,
 # Cycle regime
 # ---------------------------------------------------------------------------
 
+# one rule for the whole module: GaussLegendre caches its nodes by degree and
+# precision, so panels at a repeated (degree, precision) reuse them
+_GL_RULE = GaussLegendre(mp)
+
+
 def _gl_panel_sum(fun, a, b, npanels: int, degree: int):
     """Fixed Gauss-Legendre panels over [a, b] (b may be below a)."""
-    rule = GaussLegendre(mp)
     total = mp.mpf(0)
     width = (b - a) / npanels
     for i in range(npanels):
         lo = a + i * width
-        nodes = rule.get_nodes(lo, lo + width, degree, mp.prec)
+        nodes = _GL_RULE.get_nodes(lo, lo + width, degree, mp.prec)
         for x, w in nodes:
             total += w * fun(x)
     return total

@@ -20,7 +20,7 @@ from maasslab.innerprod import (ip_level1_closed, ip_level1_numeric,
 from maasslab.matrices import S_MAT
 from maasslab.modforms import (F_expansion, eta_eval, f_qexp, gd_construct,
                                hd_construct)
-from maasslab.spectral import (assemble_H, coeff_a, delta_op, eval_H,
+from maasslab.spectral import (assemble_H, coeff_a, delta_op,
                                finite_part_prediction, modularity_residual,
                                pole_finite_part, pole_residue, xi_op)
 from maasslab.special import (alpha, beta_k, c_factor, cprime_factor,
@@ -111,11 +111,11 @@ def test_criterion5_operator_identities(ctx30, H_full):
                       h_step="1e-5", ctx=ctx30)
                 + mp.sqrt(6) / (4 * mp.pi) * eta_eval(tau, ctx30))
         worst_xi32 = max(worst_xi32, r)
-        r = abs(xi_op(lambda t: eval_H(t, H_full, ctx30), mp.mpf(1) / 2, tau,
+        r = abs(xi_op(lambda t: H_full.eval(t, ctx30), mp.mpf(1) / 2, tau,
                       h_step="1e-5", ctx=ctx30)
                 + 2 * mp.sqrt(6) * F.eval(tau, ctx30))
         worst_xi12 = max(worst_xi12, r)
-        r = abs(delta_op(lambda t: eval_H(t, H_full, ctx30), mp.mpf(1) / 2, tau,
+        r = abs(delta_op(lambda t: H_full.eval(t, ctx30), mp.mpf(1) / 2, tau,
                          h_step="1e-5", ctx=ctx30)
                 + 3 / mp.pi * eta_eval(tau, ctx30))
         worst_delta = max(worst_delta, r)
@@ -131,7 +131,7 @@ def test_criterion5_operator_identities(ctx30, H_full):
 def test_criterion6_modularity(ctx30, H_full):
     worst = mp.mpf(0)
     for tau in (mp.mpc("0.05", "1.02"), mp.mpc("-0.31", "1.1")):
-        r = modularity_residual(lambda t: eval_H(t, H_full, ctx30), S_MAT,
+        r = modularity_residual(lambda t: H_full.eval(t, ctx30), S_MAT,
                                 mp.mpf(1) / 2, eta_multiplier(S_MAT), tau, ctx30)
         worst = max(worst, r)
     ok = worst < mp.mpf("1e-4")

@@ -120,11 +120,14 @@ class TestKloosterman:
         assert float(ratios.max()) <= 1 + 1e-9
 
     def test_scan_matches_exact(self, ktable):
-        for c in (7, 24, 60, 101, 144, 997):
-            for m in (0, 1, -5):
+        # Selberg-Whiteman scan against exact Dedekind phases, including
+        # prime powers of 2 and 3 and the largest moduli of the table
+        for c in (2, 3, 4, 7, 8, 9, 16, 24, 27, 48, 60, 72, 101, 144, 997,
+                  1024, 4374, 9216, 10000):
+            for m in (0, 1, -5, -14):
                 exact = kloosterman_A(c, m, CTX)
                 assert abs(exact.imag) < mp.mpf("1e-30")
-                assert abs(ktable[m][c] - float(exact.real)) < 1e-8
+                assert abs(ktable[m][c] - float(exact.real)) < 1e-11
 
 
 class TestPartialSumS:

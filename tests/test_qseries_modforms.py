@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ from mpmath import mp
 
 from maasslab.context import PrecisionContext
 from maasslab.exact import chi12_sqrt
-from maasslab.matrices import atkin_lehner
-from maasslab.modforms import (F_expansion, eta_eval, eta_qexp, f_eval,
-                               f_qexp, gd_construct, hd_construct, j_eval,
-                               zminus_expansion)
+from maasslab.matrices import IDENTITY, S_MAT, T_power, atkin_lehner
+from maasslab.modforms import (E4_eval, E6_eval, F_expansion, eta_eval,
+                               eta_qexp, f_eval, f_qexp, gd_construct,
+                               hd_construct, j_eval, zminus_expansion)
 from maasslab.qseries import (QSeries, eisenstein_E4, eta_series,
                               euler_product, j_series)
 
@@ -91,6 +92,20 @@ class TestEvaluators:
         lhs = eta_eval(-1 / tau, CTX)
         rhs = mp.sqrt(-1j * tau) * eta_eval(tau, CTX)
         assert abs(lhs - rhs) < mp.mpf("1e-52")
+
+    def test_eisenstein_transformation_laws(self):
+        # E_k(g tau) = (c tau + d)^k E_k(tau) for k = 4, 6, down to Im tau =
+        # 1e-3, where the reduction takes many S-steps
+        rng = random.Random(17)
+        with mp.workdps(70):
+            for _ in range(30):
+                g = IDENTITY
+                for _ in range(rng.randint(1, 6)):
+                    g = g @ T_power(rng.randint(-3, 3)) @ S_MAT
+                tau = mp.mpc(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-3, 0))
+                for k, fn in ((4, E4_eval), (6, E6_eval)):
+                    rhs = (g.c * tau + g.d) ** k * fn(tau, CTX)
+                    assert abs(fn(g.apply(tau), CTX) - rhs) < mp.mpf("1e-55") * abs(rhs)
 
     def test_j_at_i_two_paths(self):
         assert abs(j_eval(mp.mpc(0, 1), CTX) - 1728) < mp.mpf("1e-50")
