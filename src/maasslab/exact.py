@@ -12,7 +12,6 @@ exact Dedekind-phase evaluation in the tests.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -192,16 +191,12 @@ def omega0(c: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _root_sum(numerators, N: int, ctx: PrecisionContext):
-    """sum_k e(k/N) over the integer numerators k.
-
-    Each k is reduced mod N in integers and each distinct root of unity is
-    evaluated once, weighted by its multiplicity (increasing k, so the
-    summation order is fixed)."""
-    counts = Counter(k % N for k in numerators)
+    """sum_k e(k/N) over the integer numerators k, each reduced mod N in
+    integers, summed in the given order."""
     with ctx.workprec() as w:
         total = w.mpc(0)
-        for k in sorted(counts):
-            total += counts[k] * w.expjpi(2 * w.mpf(k) / N)
+        for k in numerators:
+            total += w.expjpi(2 * w.mpf(k % N) / N)
         return total
 
 
@@ -261,7 +256,7 @@ def kloosterman_table(c_max: int, ms: tuple) -> dict:
     ms = tuple(ms)
     out = {m: np.zeros(c_max + 1) for m in ms}
     for m in ms:
-        out[m][1] = 1.0
+        out[m][1] = 1.0  # exact; the formula gives 1 + 2^-52 in float64
     for c in range(2, c_max + 1):
         ls = np.arange(2 * c, dtype=np.int64)
         terms = np.cos(np.pi * (6 * ls + 1) / (6 * c))
