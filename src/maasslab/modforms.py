@@ -9,13 +9,15 @@ the weight 3/2 level-1 family h_d = P_d(j) * (-Theta(j)/eta) with exponents
 in (1/24)Z, and the weight 3/2 level-4 plus-space family g_d with integer
 exponents supported on n = 0,3 mod 4.
 
-Evaluation side: one helper reduces the argument to the SL2(Z) fundamental
-domain and records the total T-shift and the points of the S-steps; eta and
-the Eisenstein series build their automorphy factors from that record and sum
-one rapidly convergent q-series at the reduced point (the pentagonal series
-for eta, Horner on the integer coefficients for E4/E6).  f is assembled from
-the level-1 blocks at tau, 2tau, 3tau, 6tau, each reduced once for both eta
-and E4.
+Evaluation side: eta and the Eisenstein series share one reduction to the
+SL2(Z) fundamental domain, which records the total T-shift and the points of
+the S-steps; each builds its automorphy factor from that record and sums one
+rapidly convergent q-series at the reduced point (the pentagonal series for
+eta, Horner on the integer coefficients for E4/E6).  f is invariant up to the
+sign mu(e) under the Atkin-Lehner involutions W_e, e | 6, so it is evaluated
+by one reduction into a fundamental domain of Gamma0(6)+ (the group generated
+by Gamma0(6) and the W_e), where Im tau >= sqrt(2)/6, followed by one Horner
+loop over the integer coefficients of f in fixed-point arithmetic.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from .qseries import (QSeries, eisenstein_E4, eisenstein_E6, eta_series,
 # Point evaluation with fundamental-domain reduction
 # ---------------------------------------------------------------------------
 
+# step cap of both reduction loops; a point still unreduced after it raises
+_MAX_STEPS = 10_000
+
+
 def _reduce(tau):
     """Reduce tau into the SL2(Z) fundamental domain by T- and S-steps.
 
@@ -46,20 +52,21 @@ def _reduce(tau):
 
         eta(tau) = e(shift/24) prod_p (-i p)^{-1/2} eta(z),
         E_k(tau) = prod_p p^{-k} E_k(z)."""
+    if tau.imag <= 0:
+        raise ValueError("point must be in the upper half plane")
     shift = 0
     s_points = []
     cur = tau
-    for _ in range(10_000):
+    for _ in range(_MAX_STEPS):
         k = int(mp.nint(cur.real))
         if k:
             shift += k
             cur = cur - k
-        if abs(cur) < 1 - mp.mpf(10) ** (-mp.dps + 2):
-            s_points.append(cur)
-            cur = -1 / cur
-        else:
-            break
-    return cur, shift, s_points
+        if abs(cur) >= 1 - mp.mpf(10) ** (-mp.dps + 2):
+            return cur, shift, s_points
+        s_points.append(cur)
+        cur = -1 / cur
+    raise ArithmeticError(f"SL2(Z) reduction did not finish in {_MAX_STEPS} steps")
 
 
 def _fd_terms_needed(extra_digits: int = 10) -> int:
@@ -87,52 +94,41 @@ def _eis_coeffs(weight: int, nterms: int) -> tuple:
     return tuple(series.coeffs)
 
 
-def _eta_reduced(red):
-    """(eta(tau), q) from the reduction red = (z, shift, s_points) of tau,
-    with q = e(z): the pentagonal series at z times the automorphy factor."""
-    z, shift, s_points = red
-    w = mp.expjpi(z / 12)
-    q = w ** 24
-    total = mp.mpc(1)
-    qpow = mp.mpc(1)
-    cur_exp = 0
-    for g, sign in _pentagonal(_fd_terms_needed()):
-        while cur_exp < g:
-            qpow *= q
-            cur_exp += 1
-        total += sign * qpow
-    factor = mp.expjpi(mp.mpf(shift % 24) / 12)
-    for p in s_points:
-        factor /= mp.sqrt(-1j * p)
-    return factor * w * total, q
-
-
-def _eis_reduced(red, weight: int, q):
-    """E_weight(tau) from the reduction red of tau, with q = e(z): Horner on
-    the integer q-series at z times the automorphy factor."""
-    n = _fd_terms_needed()
-    coeffs = _eis_coeffs(weight, n + 1)
-    total = mp.mpc(coeffs[n])
-    for c in reversed(coeffs[:n]):
-        total = total * q + c
-    for p in red[2]:
-        total *= p ** (-weight)
-    return total
-
-
 def eta_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
-    """Dedekind eta via reduction; each S-step contributes 1/sqrt(-i tau)."""
+    """Dedekind eta via reduction: the pentagonal series at the reduced point
+    times e(shift/24) and 1/sqrt(-i p) for each S-step point p."""
     with mp.workdps(ctx.digits + 10):
-        tau = mp.mpc(tau)
-        if tau.imag <= 0:
-            raise ValueError("point must be in the upper half plane")
-        return +_eta_reduced(_reduce(tau))[0]
+        z, shift, s_points = _reduce(mp.mpc(tau))
+        w = mp.expjpi(z / 12)
+        q = w ** 24
+        total = mp.mpc(1)
+        qpow = mp.mpc(1)
+        cur_exp = 0
+        for g, sign in _pentagonal(_fd_terms_needed()):
+            while cur_exp < g:
+                qpow *= q
+                cur_exp += 1
+            total += sign * qpow
+        factor = mp.expjpi(mp.mpf(shift % 24) / 12)
+        for p in s_points:
+            factor /= mp.sqrt(-1j * p)
+        return +(factor * w * total)
 
 
 def _eis_eval(tau, weight: int, ctx: PrecisionContext):
+    """E_weight via reduction: Horner on the integer q-series at the reduced
+    point times p^{-weight} for each S-step point p."""
     with mp.workdps(ctx.digits + 10):
-        red = _reduce(mp.mpc(tau))
-        return +_eis_reduced(red, weight, mp.expjpi(2 * red[0]))
+        z, _, s_points = _reduce(mp.mpc(tau))
+        q = mp.expjpi(2 * z)
+        n = _fd_terms_needed()
+        coeffs = _eis_coeffs(weight, n + 1)
+        total = mp.mpc(coeffs[n])
+        for c in reversed(coeffs[:n]):
+            total = total * q + c
+        for p in s_points:
+            total *= p ** (-weight)
+        return +total
 
 
 def E4_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
@@ -155,26 +151,85 @@ def j_eval(tau, ctx: PrecisionContext = DEFAULT_CTX, method: str = "delta"):
     raise ValueError("method must be 'delta' or 'e6'")
 
 
-def _eta_e4_at(tau):
-    """(eta(tau), E4(tau)) from a single fundamental-domain reduction."""
-    red = _reduce(tau)
-    eta, q = _eta_reduced(red)
-    return eta, _eis_reduced(red, 4, q)
+# f|W_e = mu(e) f for the Atkin-Lehner involutions W_e, e | 6
+MU = {1: 1, 2: -1, 3: -1, 6: 1}
+# Gamma0(6)+ is generated by Gamma0(6) and the W_e.  For gcd(d, 6/e) = 1 the
+# matrix [[e a, b], [6, e d]] with e a d = 1 mod 6/e and determinant e lies in
+# W_e Gamma0(6); it sends tau to (e/6)(a - 1/(6 tau + e d)), divides Im tau by
+# e |(6/e) tau + d|^2 and multiplies f by mu(e).
+# The reduced domain is |Re tau| <= 1/2 with e |(6/e) tau + d|^2 >= 1 for all
+# such (e, d).  Its lowest point is 1/3 + i sqrt(2)/6, where the arcs
+# |tau| = 1/sqrt(6) (e = 6), |tau - 1/3| = sqrt(2)/6 (e = 2) and
+# |tau - 1/2| = 1/(2 sqrt(3)) (e = 3) meet.
+_Y_MIN = math.sqrt(2) / 6
+
+
+def _reduce_plus(tau):
+    """Reduce tau into the Gamma0(6)+ domain; returns (z, sign) with
+    f(tau) = sign f(z) and Im z >= _Y_MIN.
+
+    Each step translates Re tau into [-1/2, 1/2] and applies the element
+    with the smallest e |(6/e) tau + d|^2 while that is below 1.  Only the
+    two integers d next to -(6/e) Re tau can give a value below 1.  The
+    choice is made in floating point, with a margin of 1e-12 so that a
+    point on an arc is not mapped back and forth; the step itself is done
+    at working precision."""
+    if tau.imag <= 0:
+        raise ValueError("point must be in the upper half plane")
+    sign = 1
+    z = tau
+    for _ in range(_MAX_STEPS):
+        z -= int(mp.nint(z.real))
+        x, y = float(z.real), float(z.imag)
+        best, step = 1 - 1e-12, None
+        for e, mu in MU.items():
+            u = 6 // e * x
+            for d in (math.floor(-u), math.floor(-u) + 1):
+                if math.gcd(d, 6 // e) == 1:
+                    v = e * ((u + d) ** 2 + (6 // e * y) ** 2)
+                    if v < best:
+                        best, step = v, (e, mu, d)
+        if step is None:
+            return z, sign
+        e, mu, d = step
+        z = e * (pow(e * d, -1, 6 // e) - 1 / (6 * z + e * d)) / 6
+        sign *= mu
+    raise ArithmeticError(f"Gamma0(6)+ reduction did not finish in {_MAX_STEPS} steps")
+
+
+@lru_cache(maxsize=8)
+def _f_terms(prec: int) -> tuple:
+    """c(0), ..., c(N) of f - q^{-1}, enough for an error below 2^-prec at
+    Im tau >= _Y_MIN.
+
+    With |c(n)| <= e^{4 pi sqrt(n/6)} and |q| <= e^{-2 pi _Y_MIN} the n-th
+    term is at most e^{g(n)}, g(n) = 4 pi sqrt(n/6) - 2 pi _Y_MIN n.  g is
+    concave with g' < -0.43 past n = 6, so once e^{g(N)} <= 2^{-prec-2} the
+    terms past N sum to less than 1.9 e^{g(N)} < 2^-prec."""
+    n = 6
+    while (4 * math.pi * math.sqrt(n / 6) - 2 * math.pi * _Y_MIN * n
+           > -(prec + 2) * math.log(2)):
+        n += 1
+    return tuple(f_qexp(n).coeffs[1:n + 2])
 
 
 def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
-    """The level-6 modular function f = q^{-1} + 12 + 77q + ... evaluated from
-    level-1 blocks at tau, 2tau, 3tau, 6tau (each reduced independently)."""
+    """The level-6 modular function f = q^{-1} + 12 + 77q + ... .
+
+    tau is reduced into the Gamma0(6)+ domain, where f - q^{-1} is summed by
+    Horner's rule on the integer coefficients in fixed point (the real and
+    imaginary parts as two integers with 20 guard bits); q^{-1} is added in
+    floating point, since it grows with Im tau."""
     with mp.workdps(ctx.digits + 10):
-        tau = mp.mpc(tau)
-        if tau.imag <= 0:
-            raise ValueError("point must be in the upper half plane")
-        vals = [_eta_e4_at(k * tau) for k in (1, 2, 3, 6)]
-        den = (vals[0][0] * vals[1][0] * vals[2][0] * vals[3][0]) ** 2
-        if den == 0:
-            raise ArithmeticError("eta-product denominator numerically degenerate")
-        num = vals[0][1] - 4 * vals[1][1] - 9 * vals[2][1] + 36 * vals[3][1]
-        return +(num / (24 * den))
+        z, sign = _reduce_plus(mp.mpc(tau))
+        wp = mp.prec + 20
+        q = mp.expjpi(2 * z)
+        qr, qi = mp.to_fixed(q.real, wp), mp.to_fixed(q.imag, wp)
+        sr = si = 0
+        for c in reversed(_f_terms(mp.prec)):
+            sr, si = ((sr * qr - si * qi) >> wp) + (c << wp), (sr * qi + si * qr) >> wp
+        s = mp.mpc(mp.ldexp(sr, -wp), mp.ldexp(si, -wp))
+        return sign * (mp.expjpi(-2 * z) + s)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +239,6 @@ def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
 @lru_cache(maxsize=8)
 def eta_qexp(trunc24: int = 24 * 20) -> QSeries:
     return eta_series(trunc24)
-
-
-@lru_cache(maxsize=8)
-def E4_qexp(trunc: int = 40) -> QSeries:
-    return eisenstein_E4(trunc)
 
 
 @lru_cache(maxsize=8)
@@ -311,11 +361,6 @@ def F_expansion(trunc24: int = 24 * 16, ctx: PrecisionContext = DEFAULT_CTX,
             t.beta32.append((Fraction(-ch * m, 2), Fraction(m * m, 6)))
         m += 1
     return HarmonicExpansion(24, terms, [], label="F")
-
-
-def F_eval(tau, ctx: PrecisionContext = DEFAULT_CTX,
-           trunc24: int = 24 * 16):
-    return F_expansion(trunc24, ctx).eval(tau, ctx)
 
 
 def zminus_expansion(trunc: int = 60,

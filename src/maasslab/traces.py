@@ -23,7 +23,7 @@ from .bqf import (BQF, ClassSet, automorph, enumerate_classes,
 from .context import DEFAULT_CTX, PrecisionContext
 from .exact import chi12_sqrt, is_square
 from .matrices import GroupElement, atkin_lehner
-from .modforms import f_eval, f_qexp
+from .modforms import MU, f_eval, f_qexp
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,6 @@ class TraceValue:
     value: object        # mpf
     regime: str
     err_est: object
-
-
-MU = {1: 1, 2: -1, 3: -1, 6: 1}
 
 
 # ---------------------------------------------------------------------------

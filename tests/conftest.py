@@ -3,6 +3,7 @@ from mpmath import mp
 
 from maasslab.context import PrecisionContext
 from maasslab.exact import kloosterman_table
+from maasslab.modforms import E4_eval, eta_eval
 from maasslab.spectral import assemble_H, build_trace_table
 
 # m-values covering: Lehmer/S(n,x) checks (|m| <= 5), the acceptance indices
@@ -23,6 +24,22 @@ def ctx30():
 @pytest.fixture(scope="session")
 def ctx60():
     return PrecisionContext(digits=60)
+
+
+def f_blocks(tau, ctx):
+    """f from its defining quotient of eta and E4 at tau, 2tau, 3tau, 6tau,
+    each block from the public SL2(Z) evaluators: the oracle for f_eval."""
+    with mp.workdps(ctx.digits + 10):
+        tau = mp.mpc(tau)
+        eta = [eta_eval(k * tau, ctx) for k in (1, 2, 3, 6)]
+        e4 = [E4_eval(k * tau, ctx) for k in (1, 2, 3, 6)]
+        num = e4[0] - 4 * e4[1] - 9 * e4[2] + 36 * e4[3]
+        return +(num / (24 * (eta[0] * eta[1] * eta[2] * eta[3]) ** 2))
+
+
+@pytest.fixture(scope="session")
+def f_oracle():
+    return f_blocks
 
 
 @pytest.fixture(scope="session")

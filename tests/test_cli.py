@@ -1,6 +1,10 @@
 import json
+import re
+
+from mpmath import mp
 
 from maasslab.cli import main
+from maasslab.context import PrecisionContext
 
 
 def run_cli(capsys, *argv):
@@ -92,3 +96,15 @@ def test_eval_F(capsys):
     doc = json.loads(out)
     assert code == 0
     assert "value" in doc["values"]
+
+
+def test_eval_f_matches_oracle_and_is_deterministic(capsys, f_oracle):
+    argv = ("--no-timing", "--digits", "25", "eval", "f", "--x", "0.13", "--y", "0.002")
+    code, out1 = run_cli(capsys, *argv)
+    _, out2 = run_cli(capsys, *argv)
+    assert code == 0 and out1 == out2
+    doc = json.loads(out1)
+    re_s, op, im_s = re.fullmatch(r"\((\S+) ([+-]) (\S+)j\)", doc["values"]["value"]).groups()
+    val = mp.mpc(mp.mpf(re_s), mp.mpf(im_s) * (-1 if op == "-" else 1))
+    ref = f_oracle(mp.mpc("0.13", "0.002"), PrecisionContext(digits=25))
+    assert abs(val - ref) <= mp.mpf(doc["err_est"])

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from maasslab import modforms
 from maasslab.context import PrecisionContext
 from maasslab.exact import chi12_sqrt
 from maasslab.matrices import IDENTITY, S_MAT, T_power, atkin_lehner
@@ -119,10 +121,96 @@ class TestEvaluators:
             assert abs(f_eval(W.apply(tau), CTX) - sign * f_eval(tau, CTX)) \
                 < mp.mpf("1e-45")
 
-    def test_f_eval_matches_series_high_up(self):
+    def test_f_qexp_matches_oracle_high_up(self, f_oracle):
         f = f_qexp(40)
         for tau in (mp.mpc("0.3", "3.0"), mp.mpc("-0.2", "4.0")):
-            assert abs(f_eval(tau, CTX) - f.eval(tau)) < mp.mpf("1e-48")
+            assert abs(f_oracle(tau, CTX) - f.eval(tau)) < mp.mpf("1e-48")
+
+    def test_evaluators_reject_lower_half_plane(self):
+        evaluators = (eta_eval, E4_eval, E6_eval, f_eval,
+                      lambda t, c: j_eval(t, c, method="e6"))
+        for fn in evaluators:
+            for tau in (mp.mpc("0.1", "-0.5"), mp.mpc("0.3", "0")):
+                with pytest.raises(ValueError):
+                    fn(tau, CTX)
+
+    def test_reduction_step_cap_raises(self, monkeypatch):
+        # 0.3 + 0.01i needs more than one step in either reduction
+        monkeypatch.setattr(modforms, "_MAX_STEPS", 1)
+        for fn in (eta_eval, E4_eval, f_eval):
+            with pytest.raises(ArithmeticError):
+                fn(mp.mpc("0.3", "0.01"), CTX)
+
+
+def _seeded_points(count, seed):
+    rng = random.Random(seed)
+    return [mp.mpc(rng.uniform(-1, 1), 10 ** rng.uniform(-6, math.log10(2)))
+            for _ in range(count)]
+
+
+class TestGamma0SixPlusKernel:
+    """f_eval reduces into the Gamma0(6)+ domain and sums one q-series; the
+    eta/E4 block quotient (the oracle) knows nothing of either step."""
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_f_eval_matches_block_oracle(self, digits, f_oracle):
+        ctx = PrecisionContext(digits=digits)
+        tol = mp.mpf(10) ** (-digits)
+        for tau in _seeded_points(200, digits):
+            ref = f_oracle(tau, ctx)
+            assert abs(f_eval(tau, ctx) - ref) <= tol * max(1, abs(ref)), tau
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_series_error_at_lowest_points(self, digits, f_oracle):
+        # points of the domain at and near its lowest point 1/3 + i y_min,
+        # where the truncated series is worst: f_eval keeps 8 of its 10 guard
+        # digits against the oracle at 20 more digits
+        ctx = PrecisionContext(digits=digits)
+        fine = ctx.with_digits(digits + 20)
+        y_min = mp.sqrt(2) / 6
+        tol = mp.mpf(10) ** (-digits - 8)
+        for x, y in ((mp.mpf(1) / 3, y_min * (1 + mp.mpf("1e-9"))), (-mp.mpf(1) / 3, y_min),
+                     (mp.mpf("0.4"), mp.mpf("0.275")), (mp.mpf("0.5"), mp.mpf("0.29")),
+                     (mp.mpf("0.1"), mp.mpf("0.4"))):
+            tau = mp.mpc(x, y)
+            ref = f_oracle(tau, fine)
+            assert abs(f_eval(tau, ctx) - ref) <= tol * max(1, abs(ref)), tau
+
+    def test_atkin_lehner_laws_on_oracle(self, f_oracle):
+        # f|W_r = mu(r) f, the law the reduction relies on, checked on the
+        # oracle so that it does not rest on the kernel
+        rng = random.Random(6)
+        for r, mu in ((2, -1), (3, -1), (6, 1)):
+            W = atkin_lehner(r)
+            for _ in range(5):
+                tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.5))
+                lhs = f_oracle(W.apply(tau), CTX)
+                rhs = mu * f_oracle(tau, CTX)
+                assert abs(lhs - rhs) <= mp.mpf("1e-55") * max(1, abs(rhs))
+
+    def test_reduced_points_in_domain(self, f_oracle):
+        # points just below and above the domain's lowest point 1/3 + i y_min
+        # and their translates, besides the seeded sample
+        y_min = mp.sqrt(2) / 6
+        corner = [mp.mpc(x + k, y_min * s) for x in (mp.mpf(1) / 3, -mp.mpf(1) / 3)
+                  for k in (-1, 0, 2) for s in (1 - mp.mpf("1e-9"), 1, 1 + mp.mpf("1e-9"))]
+        with mp.workdps(40):
+            for tau in _seeded_points(200, 3) + corner:
+                z, sign = modforms._reduce_plus(mp.mpc(tau))
+                assert z.imag >= modforms._Y_MIN * (1 - 1e-12), tau
+                assert abs(z.real) <= 0.5
+        # the reduced point lies in the orbit, with the recorded sign
+        for tau in _seeded_points(10, 4) + corner[:3]:
+            with mp.workdps(CTX.digits + 10):
+                z, sign = modforms._reduce_plus(mp.mpc(tau))
+            ref = f_oracle(tau, CTX)
+            assert abs(sign * f_oracle(z, CTX) - ref) <= mp.mpf("1e-50") * max(1, abs(ref))
+
+    def test_coefficient_growth_bound(self):
+        # the bound the term count rests on; c(0) = 12 is not covered by it
+        f = f_qexp(400)
+        for n in range(1, 401):
+            assert math.log(abs(f.coeff(n))) <= 4 * math.pi * math.sqrt(n / 6), n
 
 
 class TestHdFamily:
