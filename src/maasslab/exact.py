@@ -358,26 +358,23 @@ def spt_enum(n: int) -> int:
 def _spt_list(n_max: int) -> tuple:
     """spt(0..n_max) via counting partitions with all parts > k.
 
-    spt(n) = sum_{k>=1} sum_{m>=1} m * #{partitions of n - mk into parts > k}."""
-    # gt[k][x] = number of partitions of x with every part > k, for 0<=k<=n_max
-    gt = [[0] * (n_max + 1) for _ in range(n_max + 2)]
-    for k in range(n_max + 2):
-        gt[k][0] = 1
-    for k in range(n_max, -1, -1):
-        row = gt[k]
-        above = gt[k + 1]
-        part = k + 1
-        for x in range(1, n_max + 1):
-            row[x] = above[x] + (row[x - part] if x >= part else 0)
+    spt(n) = sum_{k>=1} sum_{m>=1} m * #{partitions of n - mk into parts > k}.
+    One row holds the counts for parts > k; adding the part k for k = n_max,
+    ..., 1 turns it into the row for k - 1.  For each k the inner sum
+    acc[n] = sum_m m row[n - mk] follows from s1[n] = row[n-k] + s1[n-k] and
+    acc[n] = s1[n] + acc[n-k], so time is O(n_max^2) and memory O(n_max)."""
+    row = [1] + [0] * n_max        # partitions into parts > n_max
     out = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        total = 0
-        for k in range(1, n + 1):
-            m = 1
-            while m * k <= n:
-                total += m * gt[k][n - m * k]
-                m += 1
-        out[n] = total
+    for k in range(n_max, 0, -1):
+        part = k + 1
+        for x in range(part, n_max + 1):
+            row[x] += row[x - part]
+        s1 = [0] * (n_max + 1)
+        acc = [0] * (n_max + 1)
+        for n in range(k, n_max + 1):
+            s1[n] = row[n - k] + s1[n - k]
+            acc[n] = s1[n] + acc[n - k]
+            out[n] += acc[n]
     return tuple(out)
 
 

@@ -387,7 +387,8 @@ def zminus_expansion(trunc: int = 60,
 
 @lru_cache(maxsize=4)
 def _gd_seeds(trunc: int):
-    """The two seeds g_1 and g_4 of the plus-space family, plus j(4 tau).
+    """The two seeds g_1 and g_4 of the plus-space family, plus j(4 tau),
+    each known at least through q^trunc.
 
     g_1 is the half-period twist of theta E4(4t)/eta(4t)^6.  g_4 is solved
     for inside the span generated from g_1 by the plus-support-preserving
@@ -435,36 +436,52 @@ def _gd_seeds(trunc: int):
     return g1, g4, j4
 
 
-@lru_cache(maxsize=64)
-def gd_construct(d: int, trunc: int = 60) -> QSeries:
-    """g_d = q^{-d} + sum_{0 <= n = 0,3 (4)} B(d,n) q^n with B(d,0) = -2 iff
-    d is a square; positive discriminants d = 0,1 mod 4."""
-    if d <= 0 or d % 4 not in (0, 1):
-        raise ValueError("index must be a positive discriminant (0,1 mod 4)")
-    g1, g4, j4 = _gd_seeds(trunc + d + 8)
-    if d == 1:
-        base = g1
-    elif d == 4:
-        base = g4
-    else:
-        base = gd_construct(d - 4, trunc + d + 8) * j4
-        for m in range(d - 1, 0, -1):
-            if m % 4 not in (0, 1):
-                continue
-            c = base.coeff(-m)
-            if c:
-                base = base + (-c) * gd_construct(m, trunc + d + 8)
-    sq = math.isqrt(d) ** 2 == d
-    expect0 = -2 if sq else 0
-    if base.coeff(0) != expect0:
-        raise ArithmeticError(f"g_{d}: constant term {base.coeff(0)} != {expect0}")
-    bad = [(k, c) for k, c in base.support() if k % 4 in (1, 2) and c]
+def _gd_check(d: int, g: QSeries) -> None:
+    """Principal part q^{-d}, constant term -2 iff d is a square, plus-space
+    support, integrality."""
+    if [(k, c) for k, c in g.support() if k < 0] != [(-d, 1)]:
+        raise ArithmeticError(f"g_{d}: principal part is not q^-{d}")
+    expect0 = -2 if math.isqrt(d) ** 2 == d else 0
+    if g.coeff(0) != expect0:
+        raise ArithmeticError(f"g_{d}: constant term {g.coeff(0)} != {expect0}")
+    bad = [(k, c) for k, c in g.support() if k % 4 in (1, 2)]
     if bad:
         raise ArithmeticError(f"g_{d}: plus-space support violated at {bad[:3]}")
-    nonint = [(k, c) for k, c in base.support()
+    nonint = [(k, c) for k, c in g.support()
               if isinstance(c, Fraction) and c.denominator != 1]
     if nonint:
         raise ArithmeticError(f"g_{d}: non-integral coefficients {nonint[:3]}")
-    lo = base.lo
-    hi = min(base.trunc, trunc)
-    return QSeries(1, lo, [int(base.coeff(k)) for k in range(lo, hi + 1)], hi)
+
+
+@lru_cache(maxsize=64)
+def gd_construct(d: int, trunc: int = 60) -> QSeries:
+    """g_d = q^{-d} + sum_{0 <= n = 0,3 (4)} B(d,n) q^n with B(d,0) = -2 iff
+    d is a square; positive discriminants d = 0,1 mod 4.
+
+    The family is built bottom-up from one set of seeds: g_m = g_{m-4} j(4t)
+    minus sum_{k < m} c_k g_k, where c_k is the q^{-k} coefficient of the
+    product, for m = 5, 8, 9, ... up to d (each g_k has principal part q^{-k}
+    alone, so the order of the subtractions does not matter).  A product with j(4t) = q^{-4} +
+    ... loses 4 terms of truncation and starts 4 terms lower, so g_m is known
+    through q^{S-m+1} when the seeds are known through q^S; S = trunc + d
+    covers the chain.  Every g_m passes the checks of _gd_check, and the
+    result always carries exactly trunc as its truncation."""
+    if d <= 0 or d % 4 not in (0, 1):
+        raise ValueError("index must be a positive discriminant (0,1 mod 4)")
+    g1, g4, j4 = _gd_seeds(trunc + d)
+    family = {1: g1, 4: g4}
+    for m in range(1, d + 1):
+        if m % 4 not in (0, 1):
+            continue
+        if m not in family:
+            g = family[m - 4] * j4
+            for k, gk in family.items():
+                c = g.coeff(-k)
+                if c:
+                    g = g + (-c) * gk
+            family[m] = g
+        _gd_check(m, family[m])
+    g = family[d]
+    if g.trunc < trunc:
+        raise ArithmeticError(f"g_{d} known only through q^{g.trunc} < q^{trunc}")
+    return QSeries(1, -d, [int(g.coeff(k)) for k in range(-d, trunc + 1)], trunc)

@@ -5,6 +5,7 @@ from mpmath import mp
 
 from maasslab.cli import main
 from maasslab.context import PrecisionContext
+from maasslab.modforms import gd_construct
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +56,17 @@ def test_qexp_gd(capsys):
     series = json.loads(doc["values"]["qexp"])
     terms = dict((k, v) for k, v in series["terms"])
     assert terms[-1] == "1" and terms[3] == "248"
+
+
+def test_qexp_gd_deep_matches_library(capsys):
+    argv = ("--no-timing", "qexp", "gd", "--d", "40", "--trunc", "60")
+    code, out1 = run_cli(capsys, *argv)
+    _, out2 = run_cli(capsys, *argv)
+    assert code == 0 and out1 == out2
+    series = json.loads(json.loads(out1)["values"]["qexp"])
+    g = gd_construct(40, 60)
+    assert series["trunc"] == 60
+    assert series["terms"] == [[k, str(c)] for k, c in g.support()]
 
 
 def test_verify_spt_identity(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from maasslab.exact import (chi12, chi12_sqrt, dedekind_sum,
+from maasslab.exact import (_spt_list, chi12, chi12_sqrt, dedekind_sum,
                             dedekind_sum_direct, eta_multiplier,
                             kloosterman_A, kloosterman_K_eta, kloosterman_k,
                             kronecker_symbol, lehmer_ratios, omega0,
@@ -190,6 +190,12 @@ class TestPartitions:
     def test_spt_against_enumeration(self):
         for n in range(1, 41):
             assert spt(n) == spt_enum(n)
+
+    def test_spt_table_independent_of_length(self):
+        short, long_ = _spt_list(64), _spt_list(400)
+        assert long_[:65] == short
+        for n in range(1, 41):
+            assert long_[n] == spt_enum(n)
 
     def test_spt_congruence_mod5(self):
         for n in range(0, 8):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from mpmath import mp
 
@@ -110,6 +112,17 @@ class TestLevel4:
         for d, tol in ((1, "1e-2"), (4, "1e-2")):
             r = ip_level4(d, Y=8, ctx=ctx30)
             assert r.discrepancy < mp.mpf(tol)
+
+    def test_both_routes_every_d_up_to_60(self, ctx30):
+        """Closed form against the boundary pairing for every discriminant
+        0 < d <= 60: non-square d within 1e-12; square d keep the 1e-2 of
+        test_fast_path_square, since their boundary value still carries
+        alpha terms that decay only slowly in Y."""
+        for d in range(1, 61):
+            if d % 4 not in (0, 1):
+                continue
+            tol = "1e-2" if math.isqrt(d) ** 2 == d else "1e-12"
+            assert ip_level4(d, Y=8, ctx=ctx30).discrepancy < mp.mpf(tol), d
 
     def test_four_thirds_relation(self, ctx30):
         numeric = ip_level4_numeric(5, 8, ctx30)

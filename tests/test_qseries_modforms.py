@@ -266,6 +266,30 @@ class TestGdFamily:
                 assert k % 4 in (0, 3), (d, k)
                 assert isinstance(c, int)
 
+    def test_exact_truncation_and_prefix(self):
+        """Every g_d carries exactly the requested truncation, and a shorter
+        request is a prefix of a longer one."""
+        for d in range(1, 61):
+            if d % 4 not in (0, 1):
+                continue
+            short, long_ = gd_construct(d, trunc=24), gd_construct(d, trunc=60)
+            assert (short.trunc, long_.trunc) == (24, 60), d
+            assert short.lo == long_.lo == -d
+            assert [short.coeff(k) for k in range(-d, 25)] == \
+                [long_.coeff(k) for k in range(-d, 25)], d
+
+    def test_short_seeds_raise(self, monkeypatch):
+        """Seeds known through fewer terms than the chain needs raise rather
+        than return a short series."""
+        seeds = modforms._gd_seeds
+        monkeypatch.setattr(modforms, "_gd_seeds", lambda t: seeds(t - 12))
+        modforms.gd_construct.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="known only through"):
+                modforms.gd_construct(13, trunc=30)
+        finally:
+            modforms.gd_construct.cache_clear()
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             gd_construct(7)

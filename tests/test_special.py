@@ -76,6 +76,42 @@ class TestAlpha:
             rhs = whittaker_Wn_ds(n, y, ctx=CTX, method="analytic")
             assert abs(lhs - rhs) < mp.mpf("1e-50")
 
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_matches_whittaker_oracle(self, digits):
+        # 4 pi alpha(y) e^{-pi y/2} = d/ds W-package (n = 1) at 6y, s = 3/4
+        ctx = PrecisionContext(digits=digits)
+        for y in ("0.01", "0.12", "1", "8", "20", "128", "500"):
+            y = mp.mpf(y)
+            with mp.workdps(digits + 20):
+                lhs = 4 * mp.pi * alpha(y, ctx) * mp.e ** (-mp.pi * y / 2)
+                rhs = whittaker_Wn_ds(1, 6 * y, ctx=ctx, method="analytic")
+                assert abs(lhs - rhs) <= mp.mpf(10) ** -digits * abs(rhs), y
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_against_more_digits(self, digits):
+        """Against a run at 20 more digits, across both step limits: the
+        singularity step applies below pi y ~ (digits + 10) log 10 (y ~ 31 at
+        30 digits, ~ 53 at 60) and the Gaussian-width step above it."""
+        ctx, hi = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 20)
+        ys = ("0.01", "0.3", "2", "8", "8.5", "25", "30", "31", "31.5", "33",
+              "50", "52", "53", "55", "128", "500", "10000")
+        for y in ys:
+            y = mp.mpf(y)
+            with mp.workdps(digits + 40):
+                a, ref = alpha(y, ctx), alpha(y, hi)
+                assert abs(a - ref) <= mp.mpf(10) ** -(digits + 5) * ref, y
+
+    def test_d25_gap_value(self):
+        """The alpha gap quoted by test_criterion7_level1_square_d25,
+        sqrt(24) |alpha(100/3) - alpha(4/3)|, recorded from the tanh-sinh
+        quadrature at 50 digits."""
+        ctx = PrecisionContext(digits=30)
+        with mp.workdps(40):
+            gap = mp.sqrt(24) * abs(alpha(mp.mpf(200) / 6, ctx)
+                                    - alpha(mp.mpf(8) / 6, ctx))
+            ref = mp.mpf("0.038492235372185808499871003434119250842163")
+            assert abs(gap - ref) < mp.mpf("1e-30")
+
 
 class TestBessel:
     def test_half_integer_closed_forms(self):
