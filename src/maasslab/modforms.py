@@ -197,19 +197,29 @@ def _reduce_plus(tau):
     raise ArithmeticError(f"Gamma0(6)+ reduction did not finish in {_MAX_STEPS} steps")
 
 
+def _f_term_count(y: float, prec: int) -> int:
+    """The number N of terms of f - q^{-1} past which the sum at Im tau >= y
+    is below 2^-prec.
+
+    With |c(n)| <= e^{4 pi sqrt(n/6)} and |q| = e^{-2 pi y} the n-th term is
+    at most e^{g(n)}, g(n) = 4 pi sqrt(n/6) - 2 pi y n.  g is concave with
+    g' < -0.43 past n = 6 for y >= _Y_MIN, so once e^{g(N)} <= 2^{-prec-2}
+    the terms past N sum to less than 1.9 e^{g(N)} < 2^-prec.  As a
+    quadratic in s = sqrt(n), g(n) <= -(prec + 2) log 2 holds from the
+    positive root s+ on, so N = max(6, ceil(s+^2)).  y is lowered by a
+    relative 1e-12 so that rounding in Im tau never shortens the sum."""
+    y *= 1 - 1e-12
+    lin = 4 * math.pi / math.sqrt(6)
+    s = (lin + math.sqrt(lin * lin + 8 * math.pi * y * (prec + 2) * math.log(2))) \
+        / (4 * math.pi * y)
+    return max(6, math.ceil(s * s))
+
+
 @lru_cache(maxsize=8)
 def _f_terms(prec: int) -> tuple:
-    """c(0), ..., c(N) of f - q^{-1}, enough for an error below 2^-prec at
-    Im tau >= _Y_MIN.
-
-    With |c(n)| <= e^{4 pi sqrt(n/6)} and |q| <= e^{-2 pi _Y_MIN} the n-th
-    term is at most e^{g(n)}, g(n) = 4 pi sqrt(n/6) - 2 pi _Y_MIN n.  g is
-    concave with g' < -0.43 past n = 6, so once e^{g(N)} <= 2^{-prec-2} the
-    terms past N sum to less than 1.9 e^{g(N)} < 2^-prec."""
-    n = 6
-    while (4 * math.pi * math.sqrt(n / 6) - 2 * math.pi * _Y_MIN * n
-           > -(prec + 2) * math.log(2)):
-        n += 1
+    """c(0), ..., c(N) of f - q^{-1}, enough for an error below 2^-prec
+    anywhere in the Gamma0(6)+ domain (N = _f_term_count(_Y_MIN, prec))."""
+    n = _f_term_count(_Y_MIN, prec)
     return tuple(f_qexp(n).coeffs[1:n + 2])
 
 
@@ -219,14 +229,18 @@ def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
     tau is reduced into the Gamma0(6)+ domain, where f - q^{-1} is summed by
     Horner's rule on the integer coefficients in fixed point (the real and
     imaginary parts as two integers with 20 guard bits); q^{-1} is added in
-    floating point, since it grows with Im tau."""
+    floating point, since it grows with Im tau.  The sum runs over the
+    _f_term_count(Im z) terms that the reduced point z needs, so points high
+    in the domain sum fewer terms than its lowest point."""
     with mp.workdps(ctx.digits + 10):
         z, sign = _reduce_plus(mp.mpc(tau))
         wp = mp.prec + 20
+        terms = _f_terms(mp.prec)
+        count = min(len(terms), _f_term_count(float(z.imag), mp.prec) + 1)
         q = mp.expjpi(2 * z)
         qr, qi = mp.to_fixed(q.real, wp), mp.to_fixed(q.imag, wp)
         sr = si = 0
-        for c in reversed(_f_terms(mp.prec)):
+        for c in reversed(terms[:count]):
             sr, si = ((sr * qr - si * qi) >> wp) + (c << wp), (sr * qi + si * qr) >> wp
         s = mp.mpc(mp.ldexp(sr, -wp), mp.ldexp(si, -wp))
         return sign * (mp.expjpi(-2 * z) + s)

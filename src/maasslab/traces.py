@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
@@ -57,58 +58,58 @@ def trace_cm(n: int, ctx: PrecisionContext = DEFAULT_CTX,
 # Cycle regime
 # ---------------------------------------------------------------------------
 
-# one rule for the whole module: GaussLegendre caches its nodes by degree and
-# precision, so panels at a repeated (degree, precision) reuse them
-_GL_RULE = GaussLegendre(mp)
+def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
+    """int_{C_Q} f(tau) dtau / Q(tau,1) over one automorph period, with its
+    error estimate.
 
+    Parametrized by hyperbolic arc length l from the apex (tan(theta/2) =
+    e^l), where the measure is dl / sqrt(n).  The automorph M moves the
+    geodesic by P = 2 acosh(|tr M|/2) = 2 log eps, so l -> f(tau(l)) is
+    analytic and P-periodic and the trapezoid rule over [-P/2, P/2)
+    converges geometrically (Trefethen-Weideman, SIAM Rev. 56, 2014).  The
+    nodes double from 32, each sum reusing the nodes of the last, until two
+    sums agree to 10^-(digits+2) max(1, |I|); the last difference is the
+    error estimate.  The sum runs in increasing l, which reproduces the sign
+    of the Kloosterman-series coefficient a(n, 3/4).  Only the real part is
+    summed: the traces take nothing else.
 
-def _gl_panel_sum(fun, a, b, npanels: int, degree: int):
-    """Fixed Gauss-Legendre panels over [a, b] (b may be below a)."""
-    total = mp.mpf(0)
-    width = (b - a) / npanels
-    for i in range(npanels):
-        lo = a + i * width
-        nodes = _GL_RULE.get_nodes(lo, lo + width, degree, mp.prec)
-        for x, w in nodes:
-            total += w * fun(x)
-    return total
-
-
-def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX,
-                   degree: int = 4):
-    """int_{C_Q} f(tau) dtau / Q(tau,1) over one automorph period.
-
-    Parametrized by hyperbolic arc length l (tan(theta/2) = e^l), where the
-    measure is dl / sqrt(n); the period has length 2 log eps."""
+    Points at |l| near P/2 lie about e^{-P/2} above the real axis, so the
+    geometry carries P/(2 ln 10) + 10 digits beyond the working precision
+    and f_eval P/(2 ln 10) + 5 beyond ctx.digits."""
     n = Q.disc()
     if n <= 0 or is_square(n) or Q.a == 0:
         raise ValueError("cycle integral needs a non-square positive discriminant")
-    with mp.workdps(ctx.digits + 10):
+    M = automorph(Q)
+    trace_m = abs(M.a + M.d)
+    lost = int(math.log10(trace_m)) + 1      # >= P/(2 ln 10)
+    inner = PrecisionContext(digits=ctx.digits + lost + 5)
+    with mp.workdps(ctx.digits + 10 + lost + 10):
+        tol = mp.mpf(10) ** (-ctx.digits - 2)
+        period = 2 * mp.acosh(mp.mpf(trace_m) / 2)
         sq = mp.sqrt(n)
         center = mp.mpf(-Q.b) / (2 * Q.a)
         R = sq / (2 * abs(Q.a))
-        M = automorph(Q)
 
-        def point(ell):
-            return mp.mpc(center - R * mp.tanh(ell), R / mp.cosh(ell))
+        def value(ell):
+            tau = mp.mpc(center - R * mp.tanh(ell), R / mp.cosh(ell))
+            return f_eval(tau, inner).real
 
-        tau0 = point(0)
-        tau1 = M.apply(tau0)
-        # recover l(M tau0) from cos(theta) = -tanh(l); the automorph flows
-        # toward the attracting root (negative l).  The trace orientation is
-        # the opposite one: integrating over [0, 2 log eps] (f is l-periodic
-        # with that period) reproduces the sign of the Kloosterman-series
-        # coefficient a(n, 3/4).
-        ct = (tau1.real - center) / R
-        ell1 = abs(mp.atanh(ct))
-        npan = max(4, int(mp.ceil(abs(ell1) / mp.mpf("0.5"))))
-
-        def integrand(ell):
-            return f_eval(point(ell), ctx) / sq
-
-        val = _gl_panel_sum(integrand, mp.mpf(0), ell1, npan, degree)
-        val2 = _gl_panel_sum(integrand, mp.mpf(0), ell1, 2 * npan, degree)
-        return +val2, +abs(val2 - val)
+        nodes = 32
+        h = period / nodes
+        total = mp.fsum(value(-period / 2 + k * h) for k in range(nodes))
+        prev = total * h / sq
+        while nodes < 2 ** 16:
+            total += mp.fsum(value(-period / 2 + (k + mp.mpf(1) / 2) * h)
+                             for k in range(nodes))
+            nodes *= 2
+            h = period / nodes
+            cur = total * h / sq
+            diff = abs(cur - prev)
+            if diff <= tol * max(1, abs(cur)):
+                return +cur, +diff
+            prev = cur
+    raise ArithmeticError(f"trapezoid sums for {Q.as_tuple()} did not settle "
+                          f"by {nodes} nodes")
 
 
 def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
@@ -137,6 +138,23 @@ def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
 # ---------------------------------------------------------------------------
 # Square regime: dampened functions
 # ---------------------------------------------------------------------------
+
+# one rule for the whole module: GaussLegendre caches its nodes by degree and
+# precision, so panels at a repeated (degree, precision) reuse them
+_GL_RULE = GaussLegendre(mp)
+
+
+def _gl_panel_sum(fun, a, b, npanels: int, degree: int):
+    """Fixed Gauss-Legendre panels over [a, b] (b may be below a)."""
+    total = mp.mpf(0)
+    width = (b - a) / npanels
+    for i in range(npanels):
+        lo = a + i * width
+        nodes = _GL_RULE.get_nodes(lo, lo + width, degree, mp.prec)
+        for x, w in nodes:
+            total += w * fun(x)
+    return total
+
 
 def _damp_sigmas(Q: BQF):
     """The two scaled matrices gamma_i W_{r_i} sending the cusps of Q to oo,
@@ -174,18 +192,23 @@ def damp_fQ(tau, Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
         return +val
 
 
-def _damp_term_tail(sigma: GroupElement, x0, Y, ctx: PrecisionContext):
-    """int_Y^oo [e(-sigma tau) - e(-conj sigma tau)] dy/y on the ray x = x0.
+def _ray_seed(sigma: GroupElement, x0, cusp: Fraction):
+    """(phase, kappa, at_oo) with e(-sigma tau) - e(-conj sigma tau) equal to
+    phase * 2 sinh(2 pi kappa y) if at_oo, else phase * 2 sinh(2 pi kappa / y),
+    at tau = x0 + i y on the ray over the cusp x0 of a square form.
 
-    sigma oo is finite, so the integrand decays like 1/y; substitute y = Y/t
-    to get an analytic integrand on [0, 1]."""
-    def g(t):
-        if t == 0:
-            return mp.mpc(0)
-        st = sigma.apply(mp.mpc(x0, Y / t))
-        return (mp.expjpi(-2 * st) - mp.expjpi(-2 * mp.conj(st))) / t
-
-    return mp.quad(g, [0, mp.mpf(1) / 2, 1])
+    For the cusp oo (sigma.c = 0), sigma tau = (a tau + b)/d has real part
+    (a x0 + b)/d and imaginary part a y/d.  For the cusp x0 (c x0 + d = 0),
+    sigma tau = a/c - r/(c (c tau + d)) = a/c + i r/(c^2 y) with
+    r = sigma.scale the determinant.  Computed at the working precision."""
+    if sigma.c == 0:
+        return (mp.expjpi(-2 * (sigma.a * x0 + sigma.b) / sigma.d),
+                mp.mpf(sigma.a) / sigma.d, True)
+    if sigma.c * cusp + sigma.d != 0:
+        raise ValueError(f"{sigma.as_tuple()} does not send the cusp {cusp} to oo")
+    turn = Fraction(-2 * sigma.a, sigma.c) % 2
+    return (mp.expjpi(mp.mpf(turn.numerator) / turn.denominator),
+            mp.mpf(sigma.scale) / sigma.c ** 2, False)
 
 
 def _fmin_series_tail(x0, Y, ctx: PrecisionContext):
@@ -205,23 +228,36 @@ def _fmin_series_tail(x0, Y, ctx: PrecisionContext):
 
 def damped_ray_integral(Q: BQF, x0, y0, ctx: PrecisionContext = DEFAULT_CTX,
                         Y1=None):
-    """int_{y0}^oo f_Q(x0 + i y) dy/y for a square-discriminant form Q whose
-    cusps are oo and x0; fixed Gauss-Legendre panels up to Y1, analytic
-    tails beyond."""
+    """int_{y0}^oo f_Q(x0 + i y) dy/y for a square-discriminant form
+    Q = (0, b, c) whose cusps are oo and x0 = -c/b; fixed Gauss-Legendre
+    panels up to Y1, analytic tails beyond.
+
+    On the ray both subtracted seeds are a constant phase times a real sinh
+    (_ray_seed), so a node costs one f_eval and two real exponentials, and
+    the tail of the cusp-x0 seed is phase * 2 Shi(2 pi kappa / Y1).  The
+    phases and kappa carry the integrand's guard digits: each seed is
+    subtracted from f where both are of size e^{2 pi y}."""
+    if Q.a != 0 or Q.b == 0:
+        raise ValueError("damped ray needs a form (0, b, c) with b != 0")
+    cusp = Fraction(-Q.c, Q.b)
+    Y1 = 4 if Y1 is None else Y1
+    guard = _damp_guard_digits(Y1)
+    inner = PrecisionContext(digits=ctx.digits + guard)
     with mp.workdps(ctx.digits + 10):
         x0 = mp.mpf(x0)
         y0 = mp.mpf(y0)
-        Y1 = mp.mpf(4) if Y1 is None else mp.mpf(Y1)
-        sigmas = _damp_sigmas(Q)
-        inner = PrecisionContext(digits=ctx.digits + _damp_guard_digits(Y1))
+        Y1 = mp.mpf(Y1)
+        with mp.extradps(guard):
+            seeds = []
+            for mu, sigma in _damp_sigmas(Q):
+                phase, kappa, at_oo = _ray_seed(sigma, x0, cusp)
+                seeds.append((2 * mu * phase.real, 2 * mp.pi * kappa, at_oo))
 
         def integrand(y):
-            with mp.extradps(_damp_guard_digits(Y1)):
-                tau = mp.mpc(x0, y)
-                val = f_eval(tau, inner) - 12
-                for mu, sigma in sigmas:
-                    st = sigma.apply(tau)
-                    val -= mu * (mp.expjpi(-2 * st) - mp.expjpi(-2 * mp.conj(st)))
+            with mp.extradps(guard):
+                val = f_eval(mp.mpc(x0, y), inner).real - 12
+                for coeff, k, at_oo in seeds:
+                    val -= coeff * mp.sinh(k * y if at_oo else k / y)
             return val / y
 
         pts = [y0]
@@ -232,14 +268,14 @@ def damped_ray_integral(Q: BQF, x0, y0, ctx: PrecisionContext = DEFAULT_CTX,
         head = mp.mpf(0)
         head_lo = mp.mpf(0)
         for a, b in zip(pts, pts[1:]):
-            head += _gl_panel_sum(integrand, a, b, 1, 5).real
-            head_lo += _gl_panel_sum(integrand, a, b, 1, 4).real
+            head += _gl_panel_sum(integrand, a, b, 1, 5)
+            head_lo += _gl_panel_sum(integrand, a, b, 1, 4)
         head_err = abs(head - head_lo)
 
-        tail = _fmin_series_tail(x0, Y1, ctx)
-        for mu, sigma in sigmas:
-            if sigma.c != 0:     # the cusp-x0 dampening term, decays like 1/y
-                tail -= mu * _damp_term_tail(sigma, x0, Y1, ctx)
+        tail = _fmin_series_tail(x0, Y1, ctx).real
+        for coeff, k, at_oo in seeds:
+            if not at_oo:    # the cusp-x0 seed decays like 1/y
+                tail -= coeff * mp.shi(k / Y1)
         return +(head + tail), +head_err
 
 
@@ -268,6 +304,15 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     chi = chi12_sqrt(n)
     with mp.workdps(ctx.digits + 10):
         sqrt6 = mp.sqrt(6)
+        rays = {}      # the same form is the same integral: each once per call
+
+        def ray(bp: int, c: int):
+            """The damped ray of (0, bp, c), over its cusp x0 = -c/bp."""
+            if (bp, c) not in rays:
+                rays[bp, c] = damped_ray_integral(BQF(0, bp, c), mp.mpf(-c) / bp,
+                                                  1 / (bp * sqrt6), ctx)
+            return rays[bp, c]
+
         total = mp.mpf(0)
         err = mp.mpf(0)
         for c in range(b):
@@ -275,11 +320,9 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
             if cp != 0 and u_offset:
                 u += 6 * cp * u_offset
                 v = (1 - u * bp) // (6 * cp)
-            y0 = 1 / (bp * sqrt6)
-            v1, e1 = damped_ray_integral(BQF(0, bp, cp), mp.mpf(-cp) / bp, y0, ctx)
-            v2, e2 = damped_ray_integral(BQF(0, bp, -v), mp.mpf(v) / bp, y0, ctx)
-            total += (v1.real + v2.real) / b
-            err += (e1 + e2) / b
+            for val, e in (ray(bp, cp), ray(bp, -v)):
+                total += val / b
+                err += e / b
         total = chi * total / (2 * mp.pi)
         err = err / (2 * mp.pi) + mp.mpf(10) ** (-ctx.digits + 8) * (1 + abs(total))
         return TraceValue(n, +total, "square-regularized", +err)

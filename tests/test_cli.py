@@ -6,6 +6,7 @@ from mpmath import mp
 from maasslab.cli import main
 from maasslab.context import PrecisionContext
 from maasslab.modforms import gd_construct
+from maasslab.traces import trace_cycle
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +39,20 @@ def test_determinism_byte_identical(capsys):
     _, out2 = run_cli(capsys, "--no-timing", "--digits", "25",
                       "kloosterman", "--c", "24", "--m", "1")
     assert out1 == out2
+
+
+def test_trace_cycle_long_period(capsys):
+    # n = 193 has period 2 log eps = 60.3: the ends of its geodesic come
+    # within 2e-13 of the real axis
+    code, out1 = run_cli(capsys, "--no-timing", "trace", "--n", "193",
+                         "--digits", "20")
+    _, out2 = run_cli(capsys, "--no-timing", "trace", "--n", "193",
+                      "--digits", "20")
+    assert code == 0 and out1 == out2
+    doc = json.loads(out1)
+    tv = trace_cycle(193, PrecisionContext(digits=20))
+    assert doc["values"]["regime"] == "cycle"
+    assert doc["values"]["value"] == mp.nstr(tv.value, 25)
 
 
 def test_invalid_subcommand_exit2(capsys):

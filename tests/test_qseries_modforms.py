@@ -206,6 +206,37 @@ class TestGamma0SixPlusKernel:
             ref = f_oracle(tau, CTX)
             assert abs(sign * f_oracle(z, CTX) - ref) <= mp.mpf("1e-50") * max(1, abs(ref))
 
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_points_high_in_domain(self, digits, f_oracle):
+        # Im tau >= 1/2 is never moved by the reduction, so these points sum
+        # only the terms their own height needs
+        ctx = PrecisionContext(digits=digits)
+        fine = ctx.with_digits(digits + 20)
+        tol = mp.mpf(10) ** (-digits - 8)
+        rng = random.Random(digits + 1)
+        for _ in range(100):
+            tau = mp.mpc(rng.uniform(-1, 1), rng.uniform(0.5, 6))
+            ref = f_oracle(tau, fine)
+            assert abs(f_eval(tau, ctx) - ref) <= tol * max(1, abs(ref)), tau
+
+    def test_term_count_meets_bound(self):
+        # e^{g(N)} <= 2^{-prec-2} with g(n) = 4 pi sqrt(n/6) - 2 pi y n, N at
+        # most one term past the least such count, and never past the count
+        # of the domain's lowest point (the length of the cached terms)
+        for prec in (100, 133, 233, 333):
+            bound = -(prec + 2) * math.log(2)
+            n_low = modforms._f_term_count(modforms._Y_MIN, prec)
+            for k in range(400):
+                y = modforms._Y_MIN + (8 - modforms._Y_MIN) * k / 399
+                N = modforms._f_term_count(y, prec)
+
+                def g(n):
+                    return 4 * math.pi * math.sqrt(n / 6) - 2 * math.pi * y * n
+
+                assert 6 <= N <= n_low, (prec, y)
+                assert g(N) <= bound, (prec, y)
+                assert N == 6 or g(N - 1) > bound - 1e-6, (prec, y)
+
     def test_coefficient_growth_bound(self):
         # the bound the term count rests on; c(0) = 12 is not covered by it
         f = f_qexp(400)

@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
@@ -7,9 +11,29 @@ from maasslab.exact import trace_cm_exact
 from maasslab.matrices import GroupElement
 from maasslab.modforms import f_eval
 from maasslab.traces import (damp_fQ, trace, trace_cm, trace_cycle,
-                             trace_square, traces_to_csv, _damp_sigmas)
+                             trace_square, traces_to_csv, _damp_sigmas,
+                             _ray_seed, _square_bookkeeping)
 
 CTX = PrecisionContext(digits=30)
+
+# the non-square n = 1 mod 24 up to 19^2
+NONSQUARE = (73, 97, 145, 193, 217, 241, 265, 313, 337)
+# Tr_n from bench/refs/cycle.json: a separate f (mpmath Jacobi theta and
+# q-Pochhammer) integrated over the Pell period at 55 digits
+CYCLE_REFS = {
+    73: "-0.47850317810637678058681489864079534500365789605493",
+    97: "-0.38753994252724597620375321415682961667242162373257",
+    145: "-0.0035161941589880594506432298937402668599029376542453",
+    193: "0.21322687479480189137441832980913192317402586280390",
+}
+
+
+@pytest.fixture(scope="module")
+def cycle_runs():
+    """trace_cycle(n) at 20 and at 35 digits for each non-square n."""
+    return {n: (trace_cycle(n, PrecisionContext(digits=20)),
+                trace_cycle(n, PrecisionContext(digits=35)))
+            for n in NONSQUARE}
 
 
 class TestCMTraces:
@@ -50,6 +74,16 @@ class TestCycleTraces:
     def test_rejects_square(self):
         with pytest.raises(ValueError):
             trace_cycle(25, CTX)
+
+    def test_err_est_bounds_change_with_digits(self, cycle_runs):
+        # the long periods (2 log eps up to 85.7 at n = 337) put the ends of
+        # the geodesics as low as 7e-19 above the real axis
+        for n, (lo, hi) in cycle_runs.items():
+            assert abs(lo.value - hi.value) <= lo.err_est, n
+
+    def test_pinned_values(self, cycle_runs):
+        for n, ref in CYCLE_REFS.items():
+            assert abs(cycle_runs[n][1].value - mp.mpf(ref)) < mp.mpf("1e-25"), n
 
 
 class TestDampened:
@@ -99,6 +133,67 @@ class TestDampened:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             damp_fQ(mp.mpc(0, 1), BQF(6, 1, -3), CTX)
+
+
+def _ray_forms(b: int):
+    """The distinct forms (0, b', c') whose rays trace_square(b^2) integrates."""
+    forms = set()
+    for c in range(b):
+        _, bp, cp, _, v = _square_bookkeeping(b, c)
+        forms |= {(0, bp, cp), (0, bp, -v)}
+    return sorted(forms)
+
+
+def _seed_general(sigma, tau):
+    st = sigma.apply(tau)
+    return mp.expjpi(-2 * st) - mp.expjpi(-2 * mp.conj(st))
+
+
+class TestRaySeeds:
+    """On the ray over the cusp x0, each subtracted seed is a constant phase
+    times a real sinh; checked against the Moebius-map definition."""
+
+    def test_closed_form_matches_definition(self):
+        digits = 30
+        rng = random.Random(2549)
+        for n in (25, 49):
+            forms = _ray_forms(math.isqrt(n))
+            for _ in range(20):
+                Q = BQF(*rng.choice(forms))
+                with mp.workdps(digits + 10):
+                    x0 = mp.mpf(-Q.c) / Q.b
+                    y = mp.mpf(rng.uniform(1 / (Q.b * math.sqrt(6)), 4))
+                    for mu, sigma in _damp_sigmas(Q):
+                        phase, kappa, at_oo = _ray_seed(sigma, x0, Fraction(-Q.c, Q.b))
+                        arg = 2 * mp.pi * kappa * (y if at_oo else 1 / y)
+                        closed = mu * phase * 2 * mp.sinh(arg)
+                        general = mu * _seed_general(sigma, mp.mpc(x0, y))
+                        assert abs(closed - general) \
+                            <= mp.mpf(10) ** -digits * mp.exp(2 * mp.pi * y), (Q, y)
+
+    def test_shi_tail_matches_quadrature(self):
+        # int_Y^oo seed dy/y for the cusp-x0 seed, by mp.quad after y = Y/t
+        Y = mp.mpf(4)
+        with mp.workdps(40):
+            for form in _ray_forms(5) + _ray_forms(7):
+                Q = BQF(*form)
+                x0 = mp.mpf(-Q.c) / Q.b
+                for _, sigma in _damp_sigmas(Q):
+                    if sigma.c == 0:
+                        continue
+                    phase, kappa, _ = _ray_seed(sigma, x0, Fraction(-Q.c, Q.b))
+
+                    def g(t):
+                        return _seed_general(sigma, mp.mpc(x0, Y / t)) / t if t else mp.mpc(0)
+
+                    quad = mp.quad(g, [0, mp.mpf(1) / 2, 1])
+                    shi = phase * 2 * mp.shi(2 * mp.pi * kappa / Y)
+                    assert abs(shi - quad) < mp.mpf("1e-30"), form
+
+    def test_rejects_sigma_off_the_cusp(self):
+        # c x0 + d = 6 (-2/5) + 1 != 0: sigma does not send x0 to oo
+        with pytest.raises(ValueError):
+            _ray_seed(GroupElement(1, 0, 6, 1), mp.mpf(-2) / 5, Fraction(-2, 5))
 
 
 class TestSquareTraces:
