@@ -251,17 +251,18 @@ def automorph(Q: BQF) -> GroupElement:
 # Gamma0(6) equivalence
 # ---------------------------------------------------------------------------
 
-def _transporter_in_gamma06(g0: GroupElement, M: GroupElement) -> bool:
-    """Whether some g0 M^k lies in Gamma0(6); M-powers mod 6 are periodic."""
+def _transporter_in_gamma06(g0: GroupElement, M: GroupElement):
+    """The first g0 M^k (k >= 0) in Gamma0(6), or None; M-powers mod 6 are
+    periodic, so k runs over one period."""
     seen = set()
     cur = g0
     mk = IDENTITY
     for _ in range(10_000):
         if cur.c % 6 == 0:
-            return True
+            return cur
         key = tuple(x % 6 for x in mk.as_tuple())
         if key in seen:
-            return False
+            return None
         seen.add(key)
         mk = mk @ M
         cur = cur @ M
@@ -285,7 +286,35 @@ def gamma06_equivalent(Q1: BQF, Q2: BQF) -> bool:
     g0 = sl2_transporter_indefinite(Q1, Q2)
     if g0 is None:
         return False
-    return _transporter_in_gamma06(g0, automorph(Q1))
+    return _transporter_in_gamma06(g0, automorph(Q1)) is not None
+
+
+def w6_sigma(Q: BQF) -> BQF:
+    """sigma Q = -W_6 Q = [-6c, b, -a/6] for 6 | a: an involution of Q_n for
+    n > 0 that normalizes Gamma0(6), so it also acts on Gamma0(6)\\Q_n."""
+    if Q.a % 6:
+        raise ValueError("sigma needs 6 | a")
+    return BQF(-6 * Q.c, Q.b, -Q.a // 6)
+
+
+def w6_reflection(Q: BQF):
+    """h = gamma W_6 with gamma in Gamma0(6) and act(gamma, sigma Q) = Q, when
+    sigma fixes the class of Q (positive non-square disc); else None.
+
+    act(h, Q) = -Q, so h maps the geodesic C_Q onto itself with the opposite
+    orientation: it is the half-turn (trace 0, determinant 6) about its fixed
+    point z0 = (h.a - h.d)/(2 h.c) + i sqrt(6)/|h.c|, which lies on C_Q.
+    None also when 6 does not divide a, where sigma is not defined."""
+    if Q.a % 6:
+        return None
+    sQ = w6_sigma(Q)
+    g0 = sl2_transporter_indefinite(sQ, Q)
+    if g0 is None:
+        return None
+    gamma = _transporter_in_gamma06(g0, automorph(sQ))
+    if gamma is None:
+        return None
+    return gamma @ atkin_lehner(6)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +383,25 @@ def _qn_candidates(n: int, a_bound: int):
             yield BQF(a, b, (b * b - n) // (4 * a))
 
 
+def _sl2_class_key(Q: BQF) -> BQF:
+    """A label of the SL2(Z) class of Q: the reduced form (disc < 0) or the
+    least form of its reduction cycle (positive non-square disc)."""
+    if Q.disc() < 0:
+        return reduce_definite(Q)[0]
+    cyc, _ = cycle_of(reduce_indefinite(Q)[0])
+    return min((form for form, _g in cyc), key=BQF.as_tuple)
+
+
 def _dedupe_gamma06(cands):
+    """The first candidate of each Gamma0(6) class, in candidate order.  Forms
+    in different SL2(Z) classes are never Gamma0(6)-equivalent, so each
+    candidate is compared only with the representatives of its SL2(Z) class."""
     reps = []
+    by_key = {}
     for Q in cands:
-        if not any(gamma06_equivalent(Q, R) for R in reps):
+        same = by_key.setdefault(_sl2_class_key(Q), [])
+        if not any(gamma06_equivalent(Q, R) for R in same):
+            same.append(Q)
             reps.append(Q)
     return reps
 

@@ -37,9 +37,6 @@ class CoeffResult:
     err_est: object
 
 
-MAIN_CONST = 12 * math.sqrt(3) / math.pi ** 2     # S(n,x) ~ chi12(sqrt n) * this * sqrt(x)
-
-
 def _cesaro_value(terms: np.ndarray) -> float:
     """Three-fold Cesaro smoothing of the partial sums, evaluated as the
     mean of the last half of the doubly averaged sequence."""
@@ -55,24 +52,24 @@ def _cesaro_pair(terms: np.ndarray):
     return _cesaro_value(terms), _cesaro_value(terms[:len(terms) // 2])
 
 
-def _tail_integral(a: float, nu: float, X: float) -> float:
-    """int_X^oo t^{-1/2} J_nu(a/t) dt via the Bessel power series (a/X small)."""
-    total = 0.0
-    k = 0
-    term_pow = (a / 2.0) ** nu
-    gam = math.gamma(nu + 1)
-    fact = 1.0
-    while True:
-        expo = nu + 2 * k - 0.5
-        term = ((-1) ** k) * term_pow / (fact * gam) * X ** (-expo) / expo
-        total += term
-        k += 1
-        term_pow *= (a / 2.0) ** 2
-        gam *= (nu + k)
-        fact *= k
-        if abs(term) < 1e-20 * (abs(total) + 1e-30) or k > 60:
+def _tail_integral(a, nu, X):
+    """int_X^oo t^{-1/2} J_nu(a/t) dt via the Bessel power series (a/X small):
+    lead sum_k (-(a/2X)^2)^k / (k! (nu+1)_k (nu + 2k - 1/2)).  The k = 0 term
+    carries the pole 1/(nu - 1/2) at s = 3/4, so it and the common factor are
+    evaluated in mpmath at the exact nu = 2s - 1 of the prefactor; the terms
+    k >= 1, smaller by (a/2X)^2 each, are summed in float."""
+    lead = (a / 2) ** nu * X ** (mp.mpf(1) / 2 - nu) / mp.gamma(nu + 1)
+    nuf = float(nu)
+    ratio = -(float(a) / (2 * float(X))) ** 2
+    rest = 0.0
+    coeff = 1.0
+    for k in range(1, 61):
+        coeff *= ratio / (k * (nuf + k))
+        term = coeff / (nuf + 2 * k - 0.5)
+        rest += term
+        if abs(term) <= 1e-17 * abs(rest):
             break
-    return total
+    return lead * (1 / (nu - mp.mpf(1) / 2) + rest)
 
 
 def coeff_a(n: int, s, c_max: int | None = None,
@@ -109,16 +106,19 @@ def coeff_a(n: int, s, c_max: int | None = None,
         # S(n,x) main-term tail (this carries the s -> 3/4 pole)
         full = float(terms.sum())
         half = float(terms[:c_max // 2].sum())
-        a_bes = math.pi * math.sqrt(n) / 6.0
-        tail = (chi * MAIN_CONST / 2.0) * _tail_integral(a_bes, nu, float(c_max))
-        tail_half = (chi * MAIN_CONST / 2.0) * _tail_integral(a_bes, nu, c_max / 2.0)
     else:
         # no main term: iterated Cesaro averaging of the partial sums kills
         # the oscillatory truncation error far better than plain truncation
         full, half = _cesaro_pair(terms)
-        tail = tail_half = 0.0
     with mp.workdps(ctx.digits + 10):
         s = mp.mpf(s)
+        tail = tail_half = mp.mpf(0)
+        if chi:
+            # half the main-term constant: S(n,x) ~ chi (12 sqrt 3/pi^2) sqrt(x)
+            main = chi * 6 * mp.sqrt(3) / mp.pi ** 2
+            a_bes = mp.pi * mp.sqrt(n) / 6
+            tail = main * _tail_integral(a_bes, 2 * s - 1, mp.mpf(c_max))
+            tail_half = main * _tail_integral(a_bes, 2 * s - 1, mp.mpf(c_max) / 2)
         sgn = mp.mpf(1) / 4 if n > 0 else -mp.mpf(1) / 4
         pref = 2 * mp.pi * mp.gamma(2 * s) / (mp.mpf(abs(n)) ** mp.mpf("0.25")
                                               * mp.gamma(s + sgn))
@@ -148,7 +148,7 @@ def trace_cycle_kloosterman(n: int, c_max: int = 4000,
 def neville_at_zero(hs, vs):
     """Polynomial extrapolation of (h_k, v_k) to h = 0; returns (value, spread)."""
     n = len(hs)
-    tab = [mp.mpc(v) for v in vs]
+    tab = [mp.mpmathify(v) for v in vs]
     hs = [mp.mpf(h) for h in hs]
     last = tab[-1]
     for level in range(1, n):
@@ -185,15 +185,16 @@ def pole_residue(n: int, c_max: int = 10_000,
 
     Returns (value, spread): the Neville spread plus the propagated c_max
     truncation error of the coefficients."""
-    grid = s_grid()
-    vals, errs = [], []
-    for s in grid:
-        a = coeff_a(n, s, c_max, ctx, table)
-        factor = (s - mp.mpf(3) / 4) * c_factor(s, ctx)
-        vals.append(factor * a.value)
-        errs.append(abs(factor) * a.err_est)
-    hs = [s - mp.mpf(3) / 4 for s in grid]
-    return _extrapolate(hs, vals, errs)
+    with mp.workdps(ctx.digits + 10):
+        grid = s_grid()
+        vals, errs = [], []
+        for s in grid:
+            a = coeff_a(n, s, c_max, ctx, table)
+            factor = (s - mp.mpf(3) / 4) * c_factor(s, ctx)
+            vals.append(factor * a.value)
+            errs.append(abs(factor) * a.err_est)
+        hs = [s - mp.mpf(3) / 4 for s in grid]
+        return _extrapolate(hs, vals, errs)
 
 
 def pole_finite_part(n: int, c_max: int = 10_000,
@@ -201,15 +202,16 @@ def pole_finite_part(n: int, c_max: int = 10_000,
     """Constant term of c(s) a(n,s) at s = 3/4 for square n, extrapolated;
     the spread is formed as in pole_residue."""
     chi = chi12_sqrt(n)
-    grid = s_grid()
-    vals, errs = [], []
-    for s in grid:
-        a = coeff_a(n, s, c_max, ctx, table)
-        factor = c_factor(s, ctx)
-        vals.append(factor * a.value - chi / (s - mp.mpf(3) / 4))
-        errs.append(abs(factor) * a.err_est)
-    hs = [s - mp.mpf(3) / 4 for s in grid]
-    return _extrapolate(hs, vals, errs)
+    with mp.workdps(ctx.digits + 10):
+        grid = s_grid()
+        vals, errs = [], []
+        for s in grid:
+            a = coeff_a(n, s, c_max, ctx, table)
+            factor = c_factor(s, ctx)
+            vals.append(factor * a.value - chi / (s - mp.mpf(3) / 4))
+            errs.append(abs(factor) * a.err_est)
+        hs = [s - mp.mpf(3) / 4 for s in grid]
+        return _extrapolate(hs, vals, errs)
 
 
 def finite_part_prediction(n: int, ctx: PrecisionContext = DEFAULT_CTX,

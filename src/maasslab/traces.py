@@ -19,8 +19,8 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
 
-from .bqf import (BQF, ClassSet, automorph, enumerate_classes,
-                  geodesic_data)
+from .bqf import (BQF, ClassSet, act, automorph, enumerate_classes,
+                  gamma06_equivalent, geodesic_data, w6_reflection, w6_sigma)
 from .context import DEFAULT_CTX, PrecisionContext
 from .exact import chi12_sqrt, is_square
 from .matrices import GroupElement, atkin_lehner
@@ -65,13 +65,25 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
     Parametrized by hyperbolic arc length l from the apex (tan(theta/2) =
     e^l), where the measure is dl / sqrt(n).  The automorph M moves the
     geodesic by P = 2 acosh(|tr M|/2) = 2 log eps, so l -> f(tau(l)) is
-    analytic and P-periodic and the trapezoid rule over [-P/2, P/2)
-    converges geometrically (Trefethen-Weideman, SIAM Rev. 56, 2014).  The
-    nodes double from 32, each sum reusing the nodes of the last, until two
-    sums agree to 10^-(digits+2) max(1, |I|); the last difference is the
-    error estimate.  The sum runs in increasing l, which reproduces the sign
-    of the Kloosterman-series coefficient a(n, 3/4).  Only the real part is
-    summed: the traces take nothing else.
+    analytic and P-periodic and the trapezoid rule converges geometrically
+    (Trefethen-Weideman, SIAM Rev. 56, 2014).  The nodes double from 32,
+    each sum reusing the nodes of the last, until two sums agree to
+    10^-(digits+2) max(1, |I|); the last difference is the error estimate.
+    Only the real part is summed: the traces take nothing else.  With the
+    positive measure dl / sqrt(n) over a full period the value does not
+    depend on the orientation of C_Q, so Q and -Q give the same integral.
+
+    When the class of Q is fixed by sigma = -W_6 (bqf.w6_reflection returns
+    h = gamma W_6, gamma in Gamma0(6), with act(h, Q) = -Q), h maps C_Q onto
+    itself reversing its orientation.  An orientation-reversing isometry of
+    a geodesic onto itself that preserves the upper half plane is the
+    half-turn about a point z0 of it, here the fixed point of h, at arc
+    length l0 with tanh l0 = (center - Re z0)/R.  Since f | W_6 = f
+    (mu(6) = +1) and f is Gamma0(6)-invariant, f(h tau) = f(tau), so
+    l -> f(tau(l)) is even about l0.  The nodes are then l0 + k P/N, reduced
+    into [-P/2, P/2), and only k = 0 .. N/2 are evaluated, the interior ones
+    weighted 2: half the f evaluations for the same sums.  Otherwise the
+    nodes are -P/2 + k P/N, k = 0 .. N-1.
 
     Points at |l| near P/2 lie about e^{-P/2} above the real axis, so the
     geometry carries P/(2 ln 10) + 10 digits beyond the working precision
@@ -83,24 +95,41 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
     trace_m = abs(M.a + M.d)
     lost = int(math.log10(trace_m)) + 1      # >= P/(2 ln 10)
     inner = PrecisionContext(digits=ctx.digits + lost + 5)
+    h6 = w6_reflection(Q)
+    fold = 1 if h6 is None else 2
     with mp.workdps(ctx.digits + 10 + lost + 10):
         tol = mp.mpf(10) ** (-ctx.digits - 2)
         period = 2 * mp.acosh(mp.mpf(trace_m) / 2)
         sq = mp.sqrt(n)
         center = mp.mpf(-Q.b) / (2 * Q.a)
         R = sq / (2 * abs(Q.a))
+        if h6 is None:
+            start = -period / 2
+        else:
+            # e^{|l0|} = (R + |u|) / Im z0 with u = center - Re z0 = R tanh l0,
+            # free of the cancellation in atanh(u / R) near |u| = R
+            u = Fraction(-Q.b, 2 * Q.a) - Fraction(h6.a - h6.d, 2 * h6.c)
+            start = mp.log((R + mp.mpf(abs(u.numerator)) / u.denominator)
+                           * abs(h6.c) / mp.sqrt(6))
+            start = start if u >= 0 else -start
 
-        def value(ell):
+        def value(x):
+            ell = start + x
+            ell -= period * mp.floor(ell / period + mp.mpf(1) / 2)
             tau = mp.mpc(center - R * mp.tanh(ell), R / mp.cosh(ell))
             return f_eval(tau, inner).real
 
         nodes = 32
         h = period / nodes
-        total = mp.fsum(value(-period / 2 + k * h) for k in range(nodes))
+        if fold == 1:
+            total = mp.fsum(value(k * h) for k in range(nodes))
+        else:       # value(k h) = value((nodes - k) h)
+            total = (value(0) + value(period / 2)
+                     + 2 * mp.fsum(value(k * h) for k in range(1, nodes // 2)))
         prev = total * h / sq
         while nodes < 2 ** 16:
-            total += mp.fsum(value(-period / 2 + (k + mp.mpf(1) / 2) * h)
-                             for k in range(nodes))
+            total += fold * mp.fsum(value((k + mp.mpf(1) / 2) * h)
+                                    for k in range(nodes // fold))
             nodes *= 2
             h = period / nodes
             cur = total * h / sq
@@ -115,21 +144,37 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
 def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
                 classes: ClassSet | None = None,
                 base_shift=None) -> TraceValue:
-    """(1/2pi) sum over classes of the cycle integral, n > 0 non-square."""
+    """(1/2pi) sum over classes of the cycle integral, n > 0 non-square.
+
+    sigma Q = -W_6 Q = [-6c, b, -a/6] maps Q_n onto itself and normalizes
+    Gamma0(6), so it permutes Gamma0(6)\\Q_n, and it maps C_Q isometrically
+    onto C_{sigma Q} (reversing the orientation, which the full-period
+    integral does not see).  With f | W_6 = f the two classes of a pair
+    {Q, sigma Q} have the same cycle integral: the first of each pair is
+    integrated once and counted twice.  A class fixed by sigma is integrated
+    over half of its period (cycle_integral)."""
     if n <= 0 or n % 24 != 1:
         raise ValueError("cycle trace needs n > 0, n = 1 mod 24")
     if is_square(n):
         raise ValueError("square index: use trace_square")
     cs = classes if classes is not None else enumerate_classes(n)
+    todo = sorted(cs.reps, key=lambda q: q.as_tuple())
+    if base_shift is not None:
+        todo = [act(base_shift, Q) for Q in todo]
     with mp.workdps(ctx.digits + 10):
         total = mp.mpf(0)
         err = mp.mpf(0)
-        for Q in sorted(cs.reps, key=lambda q: q.as_tuple()):
-            if base_shift is not None:
-                Q = BQF(*base_shift.apply_form(Q.as_tuple()))
+        while todo:
+            Q = todo.pop(0)
+            sQ = w6_sigma(Q)
+            partner = next((R for R in todo if gamma06_equivalent(sQ, R)), None)
+            weight = 1
+            if partner is not None:
+                todo.remove(partner)
+                weight = 2
             v, e = cycle_integral(Q, ctx)
-            total += v.real
-            err += e
+            total += weight * v
+            err += weight * e
         total /= 2 * mp.pi
         err = err / (2 * mp.pi) + mp.mpf(10) ** (-ctx.digits + 8) * (1 + abs(total))
         return TraceValue(n, +total, "cycle", +err)

@@ -42,6 +42,21 @@ def f_oracle():
     return f_blocks
 
 
+@pytest.fixture
+def count_f_evals(monkeypatch):
+    """A one-element list counting the f evaluations the trace code makes."""
+    from maasslab import traces
+    calls = [0]
+    f_eval = traces.f_eval
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return f_eval(*args, **kwargs)
+
+    monkeypatch.setattr(traces, "f_eval", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def ktable():
     """The one big Kloosterman scan shared by everything."""

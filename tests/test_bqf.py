@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from maasslab import bqf
 from maasslab.bqf import (BQF, act, automorph, cm_point, enumerate_classes,
-                          geodesic_data, reduced_definite_forms,
-                          square_class_reps)
+                          gamma06_equivalent, geodesic_data,
+                          reduced_definite_forms, square_class_reps,
+                          w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
 from maasslab.matrices import IDENTITY, atkin_lehner, projectively_equal
 
@@ -161,7 +163,6 @@ class TestGeodesics:
 
 
 def test_pairwise_inequivalence():
-    from maasslab.bqf import gamma06_equivalent
     reps = enumerate_classes(-95).reps
     for i, Q1 in enumerate(reps):
         for Q2 in reps[i + 1:]:
@@ -170,3 +171,80 @@ def test_pairwise_inequivalence():
     for i, Q1 in enumerate(reps):
         for Q2 in reps[i + 1:]:
             assert not gamma06_equivalent(Q1, Q2)
+
+
+# the non-square n = 1 mod 24 up to 19^2
+NONSQUARE = (73, 97, 145, 193, 217, 241, 265, 313, 337)
+CM_INDICES = tuple(range(-23, -480, -24))
+
+
+def test_keyed_dedupe_matches_pairwise(monkeypatch):
+    # comparing each candidate only with representatives of its SL2(Z) class
+    # must keep the same representatives, in the same order, as comparing it
+    # with every representative
+    fast = {n: enumerate_classes(n).reps for n in CM_INDICES + NONSQUARE}
+
+    def pairwise(cands):
+        reps = []
+        for Q in cands:
+            if not any(gamma06_equivalent(Q, R) for R in reps):
+                reps.append(Q)
+        return reps
+
+    monkeypatch.setattr(bqf, "_dedupe_gamma06", pairwise)
+    assert len(CM_INDICES) == 20
+    for n, reps in fast.items():
+        assert enumerate_classes(n).reps == reps, n
+
+
+class TestW6Reflection:
+    """sigma Q = -W_6 Q permutes Gamma0(6)\\Q_n; on a fixed class the
+    reflection h = gamma W_6 is a half-turn about a point of C_Q."""
+
+    @staticmethod
+    def _sigma_image(reps):
+        image = []
+        for Q in reps:
+            sQ = w6_sigma(Q)
+            assert sQ.in_Qn() and sQ.disc() == Q.disc()
+            hits = [j for j, R in enumerate(reps) if gamma06_equivalent(sQ, R)]
+            assert len(hits) == 1, Q
+            image.append(hits[0])
+        return image
+
+    def test_involution_on_classes(self):
+        for n in NONSQUARE:
+            reps = enumerate_classes(n).reps
+            image = self._sigma_image(reps)
+            for i, Q in enumerate(reps):
+                assert w6_sigma(w6_sigma(Q)) == Q
+                assert image[image[i]] == i, (n, Q)
+
+    def test_fixed_classes_have_half_turns(self):
+        for n in NONSQUARE:
+            reps = enumerate_classes(n).reps
+            for i, j in enumerate(self._sigma_image(reps)):
+                Q = reps[i]
+                h = w6_reflection(Q)
+                if i != j:
+                    assert h is None, (n, Q)
+                    continue
+                assert h is not None, (n, Q)
+                assert h.c % 6 == 0 and h.scale == 6 and h.a + h.d == 0
+                assert act(h, Q) == BQF(-Q.a, -Q.b, -Q.c)
+                # z0 = (h.a - h.d)/(2 h.c) + i sqrt(6)/|h.c| on |z - centre| = R
+                u = Fraction(-Q.b, 2 * Q.a) - Fraction(h.a - h.d, 2 * h.c)
+                assert u * u + Fraction(6, h.c * h.c) == Fraction(n, 4 * Q.a * Q.a)
+
+    def test_no_reflection_without_six_dividing_a(self):
+        # sigma is defined only for 6 | a; such a form keeps the full period
+        assert w6_reflection(BQF(1, 1, -18)) is None
+        with pytest.raises(ValueError):
+            w6_sigma(BQF(1, 1, -18))
+
+    def test_paired_classes_exist(self):
+        # 145 is the one n <= 361 with a pair; 505 has three
+        for n, pairs in ((145, 1), (505, 3)):
+            reps = enumerate_classes(n).reps
+            image = self._sigma_image(reps)
+            assert sum(i < j for i, j in enumerate(image)) == pairs

@@ -2,7 +2,8 @@ import pytest
 from mpmath import mp
 
 from maasslab.context import PrecisionContext
-from maasslab.exact import eta_multiplier, kloosterman_k, trace_cm_exact
+from maasslab.exact import (chi12_sqrt, eta_multiplier, kloosterman_k,
+                            trace_cm_exact)
 from maasslab.matrices import S_MAT, T_power
 from maasslab.modforms import F_expansion, eta_eval
 from maasslab.spectral import (assemble_H, assemble_Z, coeff_a, delta_op,
@@ -62,6 +63,18 @@ class TestPoleStructure:
         res, spread = pole_residue(25, 10_000, ctx30, ktable)
         assert abs(res - (-1)) < mp.mpf("1e-3")
         assert abs(res - (-1)) <= spread
+
+    def test_residue_independent_of_ambient_precision(self, ctx30, ktable):
+        # the s grid and the pole-carrying tail term follow ctx, not mp.dps
+        for n in (1, 25):
+            values = []
+            for ambient in (15, 60):
+                with mp.workdps(ambient):
+                    values.append(pole_residue(n, 5000, ctx30, ktable)[0])
+            assert abs(values[0] - values[1]) < mp.mpf("1e-14"), n
+            for v in values:
+                assert isinstance(v, mp.mpf)
+                assert abs(v - chi12_sqrt(n)) < mp.mpf("1e-14"), n
 
 
 class TestConstantTermSimplification:

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from maasslab.bqf import BQF, act, enumerate_classes
+from maasslab.bqf import (BQF, act, automorph, enumerate_classes,
+                          gamma06_equivalent, w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
 from maasslab.exact import trace_cm_exact
 from maasslab.matrices import GroupElement
 from maasslab.modforms import f_eval
-from maasslab.traces import (damp_fQ, trace, trace_cm, trace_cycle,
-                             trace_square, traces_to_csv, _damp_sigmas,
-                             _ray_seed, _square_bookkeeping)
+from maasslab.traces import (cycle_integral, damp_fQ, trace, trace_cm,
+                             trace_cycle, trace_square, traces_to_csv,
+                             _damp_sigmas, _ray_seed, _square_bookkeeping)
 
 CTX = PrecisionContext(digits=30)
 
@@ -84,6 +85,109 @@ class TestCycleTraces:
     def test_pinned_values(self, cycle_runs):
         for n, ref in CYCLE_REFS.items():
             assert abs(cycle_runs[n][1].value - mp.mpf(ref)) < mp.mpf("1e-25"), n
+
+
+def _full_period_integral(Q, ctx):
+    """The plain periodic trapezoid rule over [-P/2, P/2), every node
+    evaluated, doubling under the same stopping rule: the oracle for the
+    folded sums of cycle_integral."""
+    n = Q.disc()
+    M = automorph(Q)
+    lost = int(math.log10(abs(M.a + M.d))) + 1
+    inner = PrecisionContext(digits=ctx.digits + lost + 5)
+    with mp.workdps(ctx.digits + lost + 20):
+        tol = mp.mpf(10) ** (-ctx.digits - 2)
+        period = 2 * mp.acosh(mp.mpf(abs(M.a + M.d)) / 2)
+        sq = mp.sqrt(n)
+        centre = mp.mpf(-Q.b) / (2 * Q.a)
+        R = sq / (2 * abs(Q.a))
+
+        def value(ell):
+            tau = mp.mpc(centre - R * mp.tanh(ell), R / mp.cosh(ell))
+            return f_eval(tau, inner).real
+
+        nodes = 32
+        h = period / nodes
+        total = mp.fsum(value(-period / 2 + k * h) for k in range(nodes))
+        prev = total * h / sq
+        while True:
+            total += mp.fsum(value(-period / 2 + (k + mp.mpf(1) / 2) * h)
+                             for k in range(nodes))
+            nodes *= 2
+            h = period / nodes
+            cur = total * h / sq
+            if abs(cur - prev) <= tol * max(1, abs(cur)):
+                return cur
+            prev = cur
+
+
+class TestW6Symmetry:
+    """f | W_6 = f: sigma-paired classes share their cycle integral, and on a
+    sigma-fixed class f(tau(l)) is even about the centre l0 of the half-turn."""
+
+    def test_integrand_even_about_half_turn_centre(self):
+        rng = random.Random(6)
+        ctx = PrecisionContext(digits=30)
+        for n in (73, 193):
+            Q = enumerate_classes(n).reps[0]
+            h = w6_reflection(Q)
+            M = automorph(Q)
+            lost = int(math.log10(abs(M.a + M.d))) + 1
+            inner = PrecisionContext(digits=ctx.digits + lost + 5)
+            with mp.workdps(ctx.digits + lost + 20):
+                period = 2 * mp.acosh(mp.mpf(abs(M.a + M.d)) / 2)
+                centre = mp.mpf(-Q.b) / (2 * Q.a)
+                R = mp.sqrt(n) / (2 * abs(Q.a))
+                ell0 = mp.atanh((centre - mp.mpf(h.a - h.d) / (2 * h.c)) / R)
+
+                def f_at(ell):
+                    ell -= period * mp.floor(ell / period + mp.mpf(1) / 2)
+                    tau = mp.mpc(centre - R * mp.tanh(ell), R / mp.cosh(ell))
+                    return f_eval(tau, inner)
+
+                for _ in range(20):
+                    t = mp.mpf(rng.uniform(0, float(period) / 2))
+                    plus, minus = f_at(ell0 + t), f_at(ell0 - t)
+                    assert abs(plus - minus) <= mp.mpf("1e-28") * max(1, abs(plus)), (n, t)
+
+    @staticmethod
+    def _settled(value, err, ctx):
+        # err_est is the last doubling difference; where both sums settle far
+        # below the stopping tolerance 10^-(digits+2) max(1, |I|) (n = 73 stops
+        # at a difference of 6e-37 at 20 digits), they differ by the rounding
+        # of f instead, so the tolerance is added
+        return err + mp.mpf(10) ** (-ctx.digits - 2) * max(1, abs(value))
+
+    def test_folded_sum_matches_full_period(self):
+        ctx = PrecisionContext(digits=20)
+        for n in (73, 145, 217, 337):
+            for Q in enumerate_classes(n).reps:
+                value, err = cycle_integral(Q, ctx)
+                assert abs(value - _full_period_integral(Q, ctx)) \
+                    <= self._settled(value, err, ctx), (n, Q)
+
+    def test_paired_classes_share_the_integral(self):
+        ctx = PrecisionContext(digits=20)
+        for n in (145, 505):
+            reps = list(enumerate_classes(n).reps)
+            pairs = 0
+            for Q in reps:
+                partner = [R for R in reps if R != Q and gamma06_equivalent(w6_sigma(Q), R)]
+                if not partner or partner[0].as_tuple() < Q.as_tuple():
+                    continue
+                v1, e1 = cycle_integral(Q, ctx)
+                v2, e2 = cycle_integral(partner[0], ctx)
+                assert abs(v1 - v2) <= self._settled(v1, max(e1, e2), ctx), (n, Q)
+                pairs += 1
+            assert pairs >= 1, n
+
+    def test_half_the_evaluations(self, count_f_evals):
+        # both are single sigma-fixed classes: 1024 and 2048 nodes over the
+        # full period, folded to 513 and 1025 evaluations
+        for n, most in ((73, 513), (193, 1025)):
+            count_f_evals[0] = 0
+            trace_cycle(n, PrecisionContext(digits=30))
+            assert count_f_evals[0] <= most, n
 
 
 class TestDampened:
