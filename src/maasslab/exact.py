@@ -12,6 +12,7 @@ exact Dedekind-phase evaluation in the tests.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -191,13 +192,36 @@ def omega0(c: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _root_sum(numerators, N: int, ctx: PrecisionContext):
-    """sum_k e(k/N) over the integer numerators k, each reduced mod N in
-    integers, summed in the given order."""
+    """sum_k e(k/N) over the integer numerators k: the defining sum, each k
+    reduced mod N in integers and equal residues counted together.
+
+    A residue r = hB + j with B = isqrt(N) + 1 and 0 <= j < B has e(r/N) =
+    e(hB/N) e(j/N), so the sum is sum_h e(hB/N) sum_j count(r) e(j/N): about
+    2 sqrt(N) roots of unity instead of one per numerator.  The roots are
+    fixed-point integers with 20 guard bits, so the only rounding is that of
+    each root: the sums over them are exact."""
+    counts = Counter(k % N for k in numerators)
+    B = math.isqrt(N) + 1
     with ctx.workprec() as w:
-        total = w.mpc(0)
-        for k in numerators:
-            total += w.expjpi(2 * w.mpf(k % N) / N)
-        return total
+        wp = w.prec + 20
+
+        def root(k):
+            z = w.expjpi(2 * w.mpf(k) / N)
+            return w.to_fixed(z.real, wp), w.to_fixed(z.imag, wp)
+
+        low = [root(j) for j in range(B)]
+        rows = {}
+        for r, n in counts.items():
+            h, j = divmod(r, B)
+            row = rows.setdefault(h, [0, 0])
+            row[0] += n * low[j][0]
+            row[1] += n * low[j][1]
+        re = im = 0
+        for h, (sr, si) in rows.items():
+            hr, hi = root(h * B)
+            re += hr * sr - hi * si
+            im += hr * si + hi * sr
+        return w.mpc(w.ldexp(re, -2 * wp), w.ldexp(im, -2 * wp))
 
 
 def _units(c: int) -> list:
@@ -247,24 +271,34 @@ def kloosterman_table(c_max: int, ms: tuple) -> dict:
     Returns {m: float64 array A of length c_max+1 with A[c] = A_c(m)}, from
     the Selberg-Whiteman formula (no Dedekind sums)
 
-        A_c(m) = sqrt(c/3) sum_{l mod 2c, (3l^2+l)/2 = -m (c)}
-                 (-1)^l cos((6l+1) pi / 6c).
+        A_c(m) = sqrt(c/3) sum_{l mod 2c, P(l) = -m (c)}
+                 (-1)^l cos((6l+1) pi / 6c),   P(l) = l(3l+1)/2.
 
-    For each c one bincount over l gives the sum for every residue of -m;
-    only the requested columns are kept.  Summation order is fixed
-    (increasing l), so the output is deterministic."""
+    For each c one integer pass reduces P(l) mod c for all l < 2c and marks
+    the l whose residue is a wanted -m mod c; cosines are taken only at
+    those hits, about 2^omega(c) per m.  The hit terms are the same float64
+    values, summed per residue in the same increasing-l order, as a sum over
+    every residue would give, so each A_c(m) is bit-identical to that scan
+    (kept in the tests as the oracle) and the output is deterministic."""
     ms = tuple(ms)
     out = {m: np.zeros(c_max + 1) for m in ms}
     for m in ms:
         out[m][1] = 1.0  # exact; the formula gives 1 + 2^-52 in float64
+    ls = np.arange(2 * c_max, dtype=np.int64)
+    pent = ls * (3 * ls + 1) // 2
+    wanted = np.zeros(c_max, dtype=bool)
     for c in range(2, c_max + 1):
-        ls = np.arange(2 * c, dtype=np.int64)
-        terms = np.cos(np.pi * (6 * ls + 1) / (6 * c))
-        terms[1::2] *= -1.0
-        sums = np.bincount((ls * (3 * ls + 1) // 2) % c, weights=terms, minlength=c)
+        res = pent[:2 * c] % c
+        want = [(-m) % c for m in ms]
+        wanted[want] = True
+        hit = np.flatnonzero(wanted[res])
+        wanted[want] = False
+        terms = np.cos(np.pi * (6 * hit + 1) / (6 * c))
+        terms[hit % 2 == 1] *= -1.0
+        sums = np.bincount(res[hit], weights=terms, minlength=c)
         scale = math.sqrt(c / 3)
-        for m in ms:
-            out[m][c] = scale * sums[(-m) % c]
+        for m, w in zip(ms, want):
+            out[m][c] = scale * sums[w]
     return out
 
 

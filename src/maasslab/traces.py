@@ -68,7 +68,10 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
     analytic and P-periodic and the trapezoid rule converges geometrically
     (Trefethen-Weideman, SIAM Rev. 56, 2014).  The nodes double from 32,
     each sum reusing the nodes of the last, until two sums agree to
-    10^-(digits+2) max(1, |I|); the last difference is the error estimate.
+    10^-(digits+2) max(1, |I|).  The error estimate is the last difference
+    plus the rounding floor 10^-(digits+5) max(1, |I|) of f, which keeps
+    digits + 5 of its digits at the ends of the geodesic (below): once both
+    sums have settled, their difference falls below the rounding of f.
     Only the real part is summed: the traces take nothing else.  With the
     positive measure dl / sqrt(n) over a full period the value does not
     depend on the orientation of C_Q, so Q and -Q give the same integral.
@@ -135,7 +138,7 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
             cur = total * h / sq
             diff = abs(cur - prev)
             if diff <= tol * max(1, abs(cur)):
-                return +cur, +diff
+                return +cur, diff + mp.mpf(10) ** (lost - inner.digits) * max(1, abs(cur))
             prev = cur
     raise ArithmeticError(f"trapezoid sums for {Q.as_tuple()} did not settle "
                           f"by {nodes} nodes")

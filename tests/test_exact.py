@@ -2,15 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from maasslab.exact import (_spt_list, chi12, chi12_sqrt, dedekind_sum,
-                            dedekind_sum_direct, eta_multiplier,
+from maasslab.exact import (_eta_phase, _spt_list, _units, chi12, chi12_sqrt,
+                            dedekind_sum, dedekind_sum_direct, eta_multiplier,
                             kloosterman_A, kloosterman_K_eta, kloosterman_k,
-                            kronecker_symbol, lehmer_ratios, omega0,
-                            partial_sum_S, partition_p, partition_p_enum,
+                            kloosterman_table, kronecker_symbol, lehmer_ratios,
+                            omega0, partial_sum_S, partition_p, partition_p_enum,
                             s_coeff, spt, spt_enum, trace_cm_exact)
 from maasslab.context import PrecisionContext
 from maasslab.matrices import IDENTITY, S_MAT, T_power
@@ -89,6 +90,34 @@ def _random_sl2(rng):
     return g
 
 
+def _all_residue_scan(c_max, ms):
+    """The Selberg-Whiteman scan over every residue: for each c, 2c cosines
+    and one bincount over all c residues, of which only the wanted columns
+    are kept.  kloosterman_table must match it bit for bit."""
+    out = {m: np.zeros(c_max + 1) for m in ms}
+    for m in ms:
+        out[m][1] = 1.0
+    for c in range(2, c_max + 1):
+        ls = np.arange(2 * c, dtype=np.int64)
+        terms = np.cos(np.pi * (6 * ls + 1) / (6 * c))
+        terms[1::2] *= -1.0
+        sums = np.bincount((ls * (3 * ls + 1) // 2) % c, weights=terms, minlength=c)
+        scale = math.sqrt(c / 3)
+        for m in ms:
+            out[m][c] = scale * sums[(-m) % c]
+    return out
+
+
+def _loop_root_sum(numerators, N, ctx):
+    """sum_k e(k/N), one expjpi per numerator in the given order: the oracle
+    for _root_sum."""
+    with ctx.workprec() as w:
+        total = w.mpc(0)
+        for k in numerators:
+            total += w.expjpi(2 * w.mpf(k % N) / N)
+        return total
+
+
 class TestKloosterman:
     def test_trivial_modulus(self):
         assert abs(kloosterman_A(1, 7, CTX) - 1) < mp.mpf("1e-35")
@@ -118,6 +147,40 @@ class TestKloosterman:
     def test_lehmer_bound_small(self, ktable):
         ratios = lehmer_ratios(500, (0, 1, -1, 2, -2), ktable)
         assert float(ratios.max()) <= 1 + 1e-9
+
+    def test_scan_matches_all_residue_scan(self):
+        # +-5 share a residue at c = 2, 5 and 10; c_max = 1 and 2 are the edges
+        ms = (-14, -5, 0, 5, 13)
+        for c_max in (1, 2, 1000):
+            table, oracle = kloosterman_table(c_max, ms), _all_residue_scan(c_max, ms)
+            for m in ms:
+                assert np.array_equal(table[m], oracle[m]), (c_max, m)
+
+    def test_full_table_matches_all_residue_scan(self, ktable):
+        ms = tuple(ktable)
+        oracle = _all_residue_scan(len(ktable[ms[0]]) - 1, ms)
+        for m in ms:
+            assert np.array_equal(ktable[m], oracle[m]), m
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_root_sum_matches_loop(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        tol = mp.mpf(10) ** (-digits - 5)
+        for c in (1, 2, 24, 997, 2994, 2999):
+            units = _units(c)
+            phases = [_eta_phase(d, c) for d in units]
+            inv = [pow(d, -1, c) for d in units]
+            cases = [
+                (kloosterman_A(c, -5, ctx),
+                 (p + 12 * 5 * d for p, d in zip(phases, units)), 12 * c),
+                (kloosterman_K_eta(1, -2, c, ctx),
+                 (p + 12 * (di - 2 * d) for p, d, di in zip(phases, units, inv)), 12 * c),
+                (kloosterman_k(3, 7, c, ctx),
+                 (3 * di + 7 * d for d, di in zip(units, inv)), c),
+                (kloosterman_k(-1, 0, c, ctx), (-di for di in inv), c),
+            ]
+            for i, (value, numerators, N) in enumerate(cases):
+                assert abs(value - _loop_root_sum(numerators, N, ctx)) <= tol, (c, i)
 
     def test_scan_matches_exact(self, ktable):
         # Selberg-Whiteman scan against exact Dedekind phases, including
