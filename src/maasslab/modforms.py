@@ -154,9 +154,10 @@ def j_eval(tau, ctx: PrecisionContext = DEFAULT_CTX, method: str = "delta"):
 # f|W_e = mu(e) f for the Atkin-Lehner involutions W_e, e | 6
 MU = {1: 1, 2: -1, 3: -1, 6: 1}
 # Gamma0(6)+ is generated by Gamma0(6) and the W_e.  For gcd(d, 6/e) = 1 the
-# matrix [[e a, b], [6, e d]] with e a d = 1 mod 6/e and determinant e lies in
-# W_e Gamma0(6); it sends tau to (e/6)(a - 1/(6 tau + e d)), divides Im tau by
-# e |(6/e) tau + d|^2 and multiplies f by mu(e).
+# matrix [[e a, e (e a d - 1)/6], [6, e d]] with e a d = 1 mod 6/e has
+# determinant e and lies in W_e Gamma0(6); it sends tau to
+# (e/6)(a - 1/(6 tau + e d)), divides Im tau by e |(6/e) tau + d|^2 and
+# multiplies f by mu(e).
 # The reduced domain is |Re tau| <= 1/2 with e |(6/e) tau + d|^2 >= 1 for all
 # such (e, d).  Its lowest point is 1/3 + i sqrt(2)/6, where the arcs
 # |tau| = 1/sqrt(6) (e = 6), |tau - 1/3| = sqrt(2)/6 (e = 2) and
@@ -164,35 +165,58 @@ MU = {1: 1, 2: -1, 3: -1, 6: 1}
 _Y_MIN = math.sqrt(2) / 6
 
 
-def _reduce_plus(tau):
-    """Reduce tau into the Gamma0(6)+ domain; returns (z, sign) with
-    f(tau) = sign f(z) and Im z >= _Y_MIN.
+def _reduce_plus(tau, start=None):
+    """Reduce tau into the Gamma0(6)+ domain; returns (z, sign, g) with
+    z = g tau, f(tau) = sign f(z) and Im z >= _Y_MIN.
 
-    Each step translates Re tau into [-1/2, 1/2] and applies the element
-    with the smallest e |(6/e) tau + d|^2 while that is below 1.  Only the
-    two integers d next to -(6/e) Re tau can give a value below 1.  The
-    choice is made in floating point, with a margin of 1e-12 so that a
-    point on an arc is not mapped back and forth; the step itself is done
-    at working precision."""
+    g = (a, b, c, d) is the exact integer matrix [[a, b], [c, d]] of the
+    reduction, divided by the gcd of its entries, so its determinant is a
+    product of the e | 6 (1, 2, 3 or 6).  Each step translates Re tau into
+    [-1/2, 1/2] and applies the element with the smallest e |(6/e) tau + d|^2
+    while that is below 1.  Only the two integers d next to -(6/e) Re tau
+    can give a value below 1.  The choice is made in floating point, with a
+    margin of 1e-12 so that a point on an arc is not mapped back and forth;
+    the step itself is done at working precision and composed into g.
+
+    start = (g, sign), the result for a nearby point, warm-starts the
+    reduction from g tau: neighbouring points along a path usually lie in
+    the same translate of the domain, and then no step is taken.  If g tau
+    lies below _Y_MIN / 2 the reduction starts cold from tau instead: the
+    old matrix may send tau so close to the real axis that the working
+    precision no longer resolves g tau.  Above that height g tau costs one
+    Moebius map, whose rounding is that of the steps it replaces."""
     if tau.imag <= 0:
         raise ValueError("point must be in the upper half plane")
-    sign = 1
-    z = tau
+    if start is not None:
+        (a, b, c, d), sign = start
+        z = (a * tau + b) / (c * tau + d)
+    if start is None or z.imag < _Y_MIN / 2:
+        z, sign, (a, b, c, d) = tau, 1, (1, 0, 0, 1)
     for _ in range(_MAX_STEPS):
-        z -= int(mp.nint(z.real))
+        k = int(mp.nint(z.real))
+        if k:
+            z -= k
+            a, b = a - k * c, b - k * d
         x, y = float(z.real), float(z.imag)
         best, step = 1 - 1e-12, None
         for e, mu in MU.items():
             u = 6 // e * x
-            for d in (math.floor(-u), math.floor(-u) + 1):
-                if math.gcd(d, 6 // e) == 1:
-                    v = e * ((u + d) ** 2 + (6 // e * y) ** 2)
+            for dd in (math.floor(-u), math.floor(-u) + 1):
+                if math.gcd(dd, 6 // e) == 1:
+                    v = e * ((u + dd) ** 2 + (6 // e * y) ** 2)
                     if v < best:
-                        best, step = v, (e, mu, d)
+                        best, step = v, (e, mu, dd)
         if step is None:
-            return z, sign
-        e, mu, d = step
-        z = e * (pow(e * d, -1, 6 // e) - 1 / (6 * z + e * d)) / 6
+            return z, sign, (a, b, c, d)
+        e, mu, dd = step
+        inv = pow(e * dd, -1, 6 // e)
+        z = e * (inv - 1 / (6 * z + e * dd)) / 6
+        ea, eb = e * inv, e * (e * inv * dd - 1) // 6
+        a, b, c, d = (ea * a + eb * c, ea * b + eb * d,
+                      6 * a + e * dd * c, 6 * b + e * dd * d)
+        h = math.gcd(a, b, c, d)
+        if h > 1:
+            a, b, c, d = a // h, b // h, c // h, d // h
         sign *= mu
     raise ArithmeticError(f"Gamma0(6)+ reduction did not finish in {_MAX_STEPS} steps")
 
@@ -223,17 +247,28 @@ def _f_terms(prec: int) -> tuple:
     return tuple(f_qexp(n).coeffs[1:n + 2])
 
 
-def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
+def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX, hint=None):
     """The level-6 modular function f = q^{-1} + 12 + 77q + ... .
 
     tau is reduced into the Gamma0(6)+ domain, where f - q^{-1} is summed by
     Horner's rule on the integer coefficients in fixed point (the real and
-    imaginary parts as two integers with 20 guard bits); q^{-1} is added in
-    floating point, since it grows with Im tau.  The sum runs over the
-    _f_term_count(Im z) terms that the reduced point z needs, so points high
-    in the domain sum fewer terms than its lowest point."""
+    imaginary parts as two integers with 20 guard bits); q^{-1} = 1/q is
+    added in floating point, since it grows with Im tau (|q| <= e^{-2 pi
+    _Y_MIN} < 1 in the domain, so the division loses nothing).  The sum runs
+    over the _f_term_count(Im z) terms that the reduced point z needs, so
+    points high in the domain sum fewer terms than its lowest point.
+
+    hint, a one-element list, carries the reduction from call to call along
+    a path of nearby points: hint[0] is None or the (g, sign) of the last
+    point, the reduction warm-starts from it (_reduce_plus, which falls back
+    to a cold start when g tau lies too low), and hint[0] is replaced by this
+    point's (g, sign).  The reduced point is the same up to rounding, and the
+    working precision, the term count and the sum do not depend on the path
+    taken to it; without a hint every call starts cold."""
     with mp.workdps(ctx.digits + 10):
-        z, sign = _reduce_plus(mp.mpc(tau))
+        z, sign, g = _reduce_plus(mp.mpc(tau), None if hint is None else hint[0])
+        if hint is not None:
+            hint[0] = (g, sign)
         wp = mp.prec + 20
         terms = _f_terms(mp.prec)
         count = min(len(terms), _f_term_count(float(z.imag), mp.prec) + 1)
@@ -243,7 +278,7 @@ def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
         for c in reversed(terms[:count]):
             sr, si = ((sr * qr - si * qi) >> wp) + (c << wp), (sr * qi + si * qr) >> wp
         s = mp.mpc(mp.ldexp(sr, -wp), mp.ldexp(si, -wp))
-        return sign * (mp.expjpi(-2 * z) + s)
+        return sign * (1 / q + s)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +434,18 @@ def zminus_expansion(trunc: int = 60,
                              label="Zminus")
 
 
-@lru_cache(maxsize=4)
 def _gd_seeds(trunc: int):
     """The two seeds g_1 and g_4 of the plus-space family, plus j(4 tau),
     each known at least through q^trunc.
+
+    They are built at the next power of two >= trunc, so that calls with
+    nearby truncations share one build (_gd_seed_build)."""
+    return _gd_seed_build(1 << max(trunc - 1, 0).bit_length())
+
+
+@lru_cache(maxsize=4)
+def _gd_seed_build(trunc: int):
+    """The seeds of _gd_seeds, each known at least through q^trunc.
 
     g_1 is the half-period twist of theta E4(4t)/eta(4t)^6.  g_4 is solved
     for inside the span generated from g_1 by the plus-support-preserving

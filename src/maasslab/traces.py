@@ -90,7 +90,19 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
 
     Points at |l| near P/2 lie about e^{-P/2} above the real axis, so the
     geometry carries P/(2 ln 10) + 10 digits beyond the working precision
-    and f_eval P/(2 ln 10) + 5 beyond ctx.digits."""
+    and f_eval P/(2 ln 10) + 5 beyond ctx.digits.  A node takes one exp:
+    tanh l and 1/cosh l are rational in e^l.
+
+    The nodes of a pass run along the geodesic in order, so the integral
+    keeps one f_eval hint: each reduction into the Gamma0(6)+ domain starts
+    from the matrix of the last node, which usually reduces the new node
+    with no step.  Where consecutive nodes lie far apart (where a pass wraps
+    from one end of the geodesic to the other, and at the start of a pass),
+    that matrix can send the new node far below the domain, and then the
+    reduction starts cold (modforms._reduce_plus).  The warm
+    start changes only the path to the reduced point, not the precisions,
+    the nodes or the stopping rule, so the sums and err_est are those of
+    cold reductions up to the rounding of f."""
     n = Q.disc()
     if n <= 0 or is_square(n) or Q.a == 0:
         raise ValueError("cycle integral needs a non-square positive discriminant")
@@ -116,11 +128,15 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
                            * abs(h6.c) / mp.sqrt(6))
             start = start if u >= 0 else -start
 
+        hint = [None]
+
         def value(x):
             ell = start + x
             ell -= period * mp.floor(ell / period + mp.mpf(1) / 2)
-            tau = mp.mpc(center - R * mp.tanh(ell), R / mp.cosh(ell))
-            return f_eval(tau, inner).real
+            ex = mp.exp(ell)
+            e2 = ex * ex     # tanh l = (e2 - 1)/(e2 + 1), 1/cosh l = 2 e^l/(e2 + 1)
+            tau = mp.mpc(center - R * (e2 - 1) / (e2 + 1), 2 * R * ex / (e2 + 1))
+            return f_eval(tau, inner, hint).real
 
         nodes = 32
         h = period / nodes
@@ -284,7 +300,9 @@ def damped_ray_integral(Q: BQF, x0, y0, ctx: PrecisionContext = DEFAULT_CTX,
     (_ray_seed), so a node costs one f_eval and two real exponentials, and
     the tail of the cusp-x0 seed is phase * 2 Shi(2 pi kappa / Y1).  The
     phases and kappa carry the integrand's guard digits: each seed is
-    subtracted from f where both are of size e^{2 pi y}."""
+    subtracted from f where both are of size e^{2 pi y}.  The nodes of the
+    ray share one f_eval hint, so a node reduced by the same matrix as the
+    last one takes no reduction step."""
     if Q.a != 0 or Q.b == 0:
         raise ValueError("damped ray needs a form (0, b, c) with b != 0")
     cusp = Fraction(-Q.c, Q.b)
@@ -301,9 +319,11 @@ def damped_ray_integral(Q: BQF, x0, y0, ctx: PrecisionContext = DEFAULT_CTX,
                 phase, kappa, at_oo = _ray_seed(sigma, x0, cusp)
                 seeds.append((2 * mu * phase.real, 2 * mp.pi * kappa, at_oo))
 
+        hint = [None]
+
         def integrand(y):
             with mp.extradps(guard):
-                val = f_eval(mp.mpc(x0, y), inner).real - 12
+                val = f_eval(mp.mpc(x0, y), inner, hint).real - 12
                 for coeff, k, at_oo in seeds:
                     val -= coeff * mp.sinh(k * y if at_oo else k / y)
             return val / y

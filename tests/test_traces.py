@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from maasslab import modforms
 from maasslab.bqf import (BQF, act, automorph, enumerate_classes,
                           gamma06_equivalent, w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
 from maasslab.exact import trace_cm_exact
-from maasslab.matrices import GroupElement
-from maasslab.modforms import f_eval
+from maasslab.matrices import GroupElement, projectively_equal
+from maasslab.modforms import MU, f_eval
 from maasslab.traces import (cycle_integral, damp_fQ, trace, trace_cm,
                              trace_cycle, trace_square, traces_to_csv,
                              _damp_sigmas, _ray_seed, _square_bookkeeping)
@@ -85,6 +86,16 @@ class TestCycleTraces:
     def test_pinned_values(self, cycle_runs):
         for n, ref in CYCLE_REFS.items():
             assert abs(cycle_runs[n][1].value - mp.mpf(ref)) < mp.mpf("1e-25"), n
+
+    def test_err_est_carries_the_rounding_floor(self):
+        # at 20 digits the last doubling differences (5.9e-37 for 73) lie far
+        # below the rounding of f at the ends of the geodesic, so err_est is
+        # a bound only through its floor 10^-(digits+5) max(1, |I|)
+        ctx = PrecisionContext(digits=20)
+        for n in (73, 193):
+            for Q in enumerate_classes(n).reps:
+                value, err = cycle_integral(Q, ctx)
+                assert err >= mp.mpf(10) ** (-ctx.digits - 5) * max(1, abs(value)), (n, Q)
 
 
 def _full_period_integral(Q, ctx):
@@ -181,11 +192,115 @@ class TestW6Symmetry:
 
     def test_half_the_evaluations(self, count_f_evals):
         # both are single sigma-fixed classes: 1024 and 2048 nodes over the
-        # full period, folded to 513 and 1025 evaluations
-        for n, most in ((73, 513), (193, 1025)):
+        # full period, folded to 513 and 1025 evaluations, every one of them
+        # through traces.f_eval
+        for n, count in ((73, 513), (193, 1025)):
             count_f_evals[0] = 0
             trace_cycle(n, PrecisionContext(digits=30))
-            assert count_f_evals[0] <= most, n
+            assert count_f_evals[0] == count, n
+
+
+def _geodesic_points(Q, digits, ells):
+    """The points of C_Q at arc lengths ells (fractions of the half period
+    P/2, from the apex), rounded to the working precision of f_eval inside
+    cycle_integral at digits, which is returned with them."""
+    n = Q.disc()
+    M = automorph(Q)
+    lost = int(math.log10(abs(M.a + M.d))) + 1
+    work = digits + lost + 15
+    with mp.workdps(work + 10):
+        half = mp.acosh(mp.mpf(abs(M.a + M.d)) / 2)
+        centre = mp.mpf(-Q.b) / (2 * Q.a)
+        R = mp.sqrt(n) / (2 * abs(Q.a))
+        taus = [mp.mpc(centre - R * mp.tanh(t * half), R / mp.cosh(t * half))
+                for t in ells]
+    with mp.workdps(work):
+        return [+tau for tau in taus], work
+
+
+def _det(g):
+    a, b, c, d = g
+    return a * d - b * c
+
+
+class TestWarmStart:
+    """_reduce_plus warm-started from the matrix of a nearby point gives the
+    cold reduction; from a far point it falls back to the cold start."""
+
+    DIGITS = 30
+
+    def _nodes(self, n):
+        rng = random.Random(n)
+        ells = sorted(rng.uniform(-1, 1) for _ in range(200))
+        return _geodesic_points(enumerate_classes(n).reps[0], self.DIGITS, ells)
+
+    def test_warm_matches_cold_along_geodesics(self):
+        tol = mp.mpf(10) ** (-self.DIGITS - 5)
+        for n in (73, 193, 337):
+            taus, work = self._nodes(n)
+            inner = PrecisionContext(digits=work - 10)
+            hint, prev = [None], None
+            with mp.workdps(work):
+                for tau in taus:
+                    z, sign, g = modforms._reduce_plus(tau)
+                    wz, wsign, wg = modforms._reduce_plus(tau, prev)
+                    assert wsign == sign and abs(wz - z) <= tol, (n, tau)
+                    prev = (wg, wsign)
+                    ref = f_eval(tau, inner)
+                    assert abs(f_eval(tau, inner, hint) - ref) <= tol * max(1, abs(ref)), (n, tau)
+                    assert hint[0] == prev, (n, tau)
+
+    def test_matrix_maps_tau_to_reduced_point(self):
+        tol = mp.mpf(10) ** (-self.DIGITS - 5)
+        for n in (73, 193, 337):
+            taus, work = self._nodes(n)
+            prev = None
+            with mp.workdps(work):
+                for tau in taus:
+                    for start in (None, prev):
+                        z, sign, g = modforms._reduce_plus(tau, start)
+                        a, b, c, d = g
+                        assert abs((a * tau + b) / (c * tau + d) - z) <= tol, (n, tau)
+                        assert _det(g) in (1, 2, 3, 6) and math.gcd(*g) == 1, g
+                        assert sign == MU[_det(g)], g
+                    prev = (g, sign)
+
+    def test_far_start_takes_the_cold_path(self):
+        # the matrix of one end of the geodesic sends the other end far below
+        # the domain, where the working precision no longer resolves it
+        tol = mp.mpf(10) ** (-self.DIGITS - 5)
+        for Q in (enumerate_classes(193).reps[0], BQF(6, 1, -10),
+                  enumerate_classes(337).reps[0]):
+            (lo, hi), work = _geodesic_points(Q, self.DIGITS, (-0.98, 0.98))
+            with mp.workdps(work):
+                _, sign, g = modforms._reduce_plus(lo)
+                a, b, c, d = g
+                assert ((a * hi + b) / (c * hi + d)).imag < modforms._Y_MIN / 2
+                z, csign, cg = modforms._reduce_plus(hi)
+                wz, wsign, wg = modforms._reduce_plus(hi, (g, sign))
+                assert (wg, wsign) == (cg, csign), Q
+                assert abs(wz - z) <= tol, Q
+
+    def test_no_step_inside_one_arc(self, monkeypatch):
+        # consecutive nodes reduced by the same element: with the loop capped
+        # at one pass (which a cold start below the domain cannot finish),
+        # the warm start from the last node's matrix takes no step and
+        # returns that matrix
+        for n in (73, 193, 337):
+            taus, work = self._nodes(n)
+            with mp.workdps(work):
+                cold = [modforms._reduce_plus(tau) for tau in taus]
+                monkeypatch.setattr(modforms, "_MAX_STEPS", 1)
+                with pytest.raises(ArithmeticError):
+                    modforms._reduce_plus(min(taus, key=lambda t: t.imag))
+                same = 0
+                for tau, (_, sign, g), (_, _, g_next) in zip(taus[1:], cold, cold[1:]):
+                    if projectively_equal(GroupElement(*g, _det(g)),
+                                          GroupElement(*g_next, _det(g_next))):
+                        same += 1
+                        assert modforms._reduce_plus(tau, (g, sign))[1:] == (sign, g), n
+                monkeypatch.undo()
+            assert same >= 100, n
 
 
 class TestDampened:
