@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
-from scipy.special import iv as _iv, jv as _jv
 
 from .classnum import hstar
 from .context import DEFAULT_CTX, PrecisionContext
@@ -81,7 +80,12 @@ def coeff_a(n: int, s, c_max: int | None = None,
 
     For square n the sum carries the divergent main term
     chi12(sqrt n) (12 sqrt 3/pi^2) sqrt(t); its tail beyond c_max is resummed
-    analytically, which reproduces the 3/(sqrt pi (s-3/4)) pole as s -> 3/4."""
+    analytically, which reproduces the 3/(sqrt pi (s-3/4)) pole as s -> 3/4.
+
+    scipy is imported here, for the float Bessel weights only, so that the
+    rest of the package loads without it."""
+    from scipy.special import iv, jv
+
     if n % 24 != 1 or n == 0:
         raise ValueError("index must be nonzero and 1 mod 24")
     sf = float(s)
@@ -98,7 +102,7 @@ def coeff_a(n: int, s, c_max: int | None = None,
     cs = np.arange(1, c_max + 1, dtype=np.float64)
     nu = 2 * sf - 1
     arg = math.pi * math.sqrt(abs(n)) / 6.0 / cs
-    w = _jv(nu, arg) if n > 0 else _iv(nu, arg)
+    w = jv(nu, arg) if n > 0 else iv(nu, arg)
     terms = A / cs * w
     chi = chi12_sqrt(n)
     if chi:

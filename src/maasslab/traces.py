@@ -206,18 +206,48 @@ def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
 # one rule for the whole module: GaussLegendre caches its nodes by degree and
 # precision, so panels at a repeated (degree, precision) reuse them
 _GL_RULE = GaussLegendre(mp)
+_GL_TAIL = {}      # (degree, prec) -> _gl_tail_rows
 
 
-def _gl_panel_sum(fun, a, b, npanels: int, degree: int):
-    """Fixed Gauss-Legendre panels over [a, b] (b may be below a)."""
+def _gl_tail_rows(degree: int, prec: int):
+    """For each node x_i, weight w_i of the reference rule on [-1, 1] (n
+    nodes): w_i (2k+1)/2 P_k(x_i) for k = n-2 and n-1, so that the sums of
+    these rows against samples f(x_i) are the last two Legendre coefficients
+    of the polynomial interpolating f at the nodes."""
+    key = (degree, prec)
+    if key not in _GL_TAIL:
+        ref = _GL_RULE.get_nodes(-1, 1, degree, prec)
+        n = len(ref)
+        rows = []
+        with mp.workprec(prec):
+            for x, w in ref:
+                p0, p1 = mp.mpf(1), x
+                for j in range(1, n - 1):        # ends with P_{n-2}, P_{n-1}
+                    p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+                rows.append((w * (2 * n - 3) / 2 * p0, w * (2 * n - 1) / 2 * p1))
+        _GL_TAIL[key] = rows
+    return _GL_TAIL[key]
+
+
+def _gl_panel(fun, a, b, degree: int):
+    """(value, error estimate) of the Gauss-Legendre rule of the given degree
+    (n = 3 * 2^(degree-1) nodes) for fun over [a, b] (b may be below a).
+
+    With fun mapped to [-1, 1] as sum_k a_k P_k, the rule is exact through
+    degree 2n-1, so its error is at most |b - a| sum_{k >= 2n} |a_k|.  While
+    the coefficients decay, that is far below the last ones the samples
+    give, |a_{n-2}| + |a_{n-1}| of the interpolant (_gl_tail_rows), and
+    |b - a| times their sum is the estimate: it costs no sample beyond the
+    rule's own n."""
     total = mp.mpf(0)
-    width = (b - a) / npanels
-    for i in range(npanels):
-        lo = a + i * width
-        nodes = _GL_RULE.get_nodes(lo, lo + width, degree, mp.prec)
-        for x, w in nodes:
-            total += w * fun(x)
-    return total
+    c0 = c1 = mp.mpf(0)
+    tail = _gl_tail_rows(degree, mp.prec)
+    for (x, w), (t0, t1) in zip(_GL_RULE.get_nodes(a, b, degree, mp.prec), tail):
+        fx = fun(x)
+        total += w * fx
+        c0 += t0 * fx
+        c1 += t1 * fx
+    return total, abs(b - a) * (abs(c0) + abs(c1))
 
 
 def _damp_sigmas(Q: BQF):
@@ -293,8 +323,11 @@ def _fmin_series_tail(x0, Y, ctx: PrecisionContext):
 def damped_ray_integral(Q: BQF, x0, y0, ctx: PrecisionContext = DEFAULT_CTX,
                         Y1=None):
     """int_{y0}^oo f_Q(x0 + i y) dy/y for a square-discriminant form
-    Q = (0, b, c) whose cusps are oo and x0 = -c/b; fixed Gauss-Legendre
-    panels up to Y1, analytic tails beyond.
+    Q = (0, b, c) whose cusps are oo and x0 = -c/b, with its error estimate:
+    Gauss-Legendre panels of 48 nodes (degree 5) between the break points
+    y0, 2 y0, 1/2, 1, 2 that lie below Y1, analytic tails beyond.  The
+    estimate is the sum of the panels' own (_gl_panel), read from the last
+    two Legendre coefficients of each panel's 48 samples.
 
     On the ray both subtracted seeds are a constant phase times a real sinh
     (_ray_seed), so a node costs one f_eval and two real exponentials, and
@@ -334,11 +367,11 @@ def damped_ray_integral(Q: BQF, x0, y0, ctx: PrecisionContext = DEFAULT_CTX,
                 pts.append(p)
         pts.append(Y1)
         head = mp.mpf(0)
-        head_lo = mp.mpf(0)
+        head_err = mp.mpf(0)
         for a, b in zip(pts, pts[1:]):
-            head += _gl_panel_sum(integrand, a, b, 1, 5)
-            head_lo += _gl_panel_sum(integrand, a, b, 1, 4)
-        head_err = abs(head - head_lo)
+            val, err = _gl_panel(integrand, a, b, 5)
+            head += val
+            head_err += err
 
         tail = _fmin_series_tail(x0, Y1, ctx).real
         for coeff, k, at_oo in seeds:
@@ -365,7 +398,25 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     square-discriminant representatives W_r [0,b,c], c mod b.
 
     u_offset shifts the choice of u in the gamma_c bookkeeping by a multiple
-    of 6c' (the result must not depend on it)."""
+    of 6c' (the result must not depend on it).
+
+    Mirror rays.  J tau = -1 - conj(tau) maps the ray of (0, b', c) over
+    x0 = -c/b' onto that of (0, b', b' - c) over -1 - x0, point by point at
+    the same height.  f has real coefficients and is T-invariant, so
+    f(J tau) = conj f(tau).  With eps g eps = [[a, -b], [-c, d]] for
+    g = [[a, b], [c, d]] (eps tau = -conj(tau)), the conjugation keeps
+    Gamma0(6) and each W_r.  If sigma sends x0 to oo, then
+    sigma' = (eps sigma eps) T sends -1 - x0 to oo, with the same Moebius
+    sign and sigma' J tau = -conj(sigma tau), so its seed at J tau is the
+    conjugate of sigma's seed at tau.  This holds for both cusps (J fixes
+    oo), and a seed does not depend on which normalizer of its cusp is
+    taken (two differ by an integer translation on the left).  So the
+    dampened integrand of the mirror ray is the conjugate of the first at
+    every node, and the real parts, which are all the trace takes, agree up
+    to rounding.  The ray cache therefore reuses (b', b' - c) when that key
+    is present, which leaves 3 of the 5 rays of n = 25 to integrate.  Only
+    this exact pair is folded: x0 is not reduced mod 1, so the rays that
+    u_offset shifts by integers are still integrated."""
     if n <= 0 or n % 24 != 1 or not is_square(n):
         raise ValueError("square trace needs a positive square n = 1 mod 24")
     b = math.isqrt(n)
@@ -375,10 +426,12 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
         rays = {}      # the same form is the same integral: each once per call
 
         def ray(bp: int, c: int):
-            """The damped ray of (0, bp, c), over its cusp x0 = -c/bp."""
+            """The damped ray of (0, bp, c), over its cusp x0 = -c/bp, or that
+            of its mirror (0, bp, bp - c) if that one is already integrated."""
             if (bp, c) not in rays:
-                rays[bp, c] = damped_ray_integral(BQF(0, bp, c), mp.mpf(-c) / bp,
-                                                  1 / (bp * sqrt6), ctx)
+                mirror = rays.get((bp, bp - c))
+                rays[bp, c] = mirror if mirror is not None else damped_ray_integral(
+                    BQF(0, bp, c), mp.mpf(-c) / bp, 1 / (bp * sqrt6), ctx)
             return rays[bp, c]
 
         total = mp.mpf(0)

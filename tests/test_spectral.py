@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from mpmath import mp
 
+import maasslab
 from maasslab.context import PrecisionContext
 from maasslab.exact import (chi12_sqrt, eta_multiplier, kloosterman_k,
                             trace_cm_exact)
@@ -206,3 +212,14 @@ class TestModularity:
         r = modularity_residual(lambda t: H_full.eval(t, ctx30), S_MAT,
                                 mp.mpf(1) / 2, eta_multiplier(S_MAT), tau, ctx30)
         assert r < mp.mpf("1e-4")
+
+
+def test_package_loads_without_scipy():
+    # only coeff_a's float Bessel weights need scipy, and coeff_a imports it
+    code = ("import sys, maasslab.traces, maasslab.innerprod, maasslab.spectral, "
+            "maasslab.cli; sys.exit('scipy' in sys.modules)")
+    src = str(Path(maasslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0

@@ -5,16 +5,17 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from maasslab import modforms
+from maasslab import modforms, traces
 from maasslab.bqf import (BQF, act, automorph, enumerate_classes,
                           gamma06_equivalent, w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
 from maasslab.exact import trace_cm_exact
 from maasslab.matrices import GroupElement, projectively_equal
 from maasslab.modforms import MU, f_eval
-from maasslab.traces import (cycle_integral, damp_fQ, trace, trace_cm,
-                             trace_cycle, trace_square, traces_to_csv,
-                             _damp_sigmas, _ray_seed, _square_bookkeeping)
+from maasslab.traces import (cycle_integral, damp_fQ, damped_ray_integral,
+                             trace, trace_cm, trace_cycle, trace_square,
+                             traces_to_csv, _damp_sigmas, _ray_seed,
+                             _square_bookkeeping)
 
 CTX = PrecisionContext(digits=30)
 
@@ -418,11 +419,23 @@ class TestSquareTraces:
         tv = trace_square(1, ctx30.with_digits(25))
         assert abs(tv.value - mp.mpf("-1.64869598075097870847")) < mp.mpf("1e-15")
 
-    def test_u_choice_invariance(self, ctx30):
+    def test_u_choice_invariance(self, ctx30, monkeypatch):
         ctx = ctx30.with_digits(22)
         a = trace_square(25, ctx)
+        rays = []
+        integrate = traces.damped_ray_integral
+
+        def counted(Q, *args, **kwargs):
+            rays.append(Q.as_tuple())
+            return integrate(Q, *args, **kwargs)
+
+        monkeypatch.setattr(traces, "damped_ray_integral", counted)
         b = trace_square(25, ctx, u_offset=1)
-        assert abs(a.value - b.value) < mp.mpf("1e-12")
+        assert abs(a.value - b.value) <= a.err_est + b.err_est
+        # (0,1,0), (0,5,1), (0,5,2) and the shifted (0,5,9), (0,5,7), (0,5,8),
+        # (0,5,6): only (0,5,3) and (0,5,4) are mirrors of rays already done.
+        # With x0 reduced mod 1 the shifted rays would be folded, leaving 3.
+        assert len(rays) == 7, rays
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -433,3 +446,50 @@ class TestSquareTraces:
         assert tv.regime == "cm"
         csv_text = traces_to_csv([tv])
         assert "cm" in csv_text and csv_text.startswith("n,regime")
+
+
+class TestMirrorRays:
+    """tau -> -1 - conj(tau) maps the ray of (0, b, c) onto that of
+    (0, b, b - c) and its integrand onto the conjugate one."""
+
+    def test_mirror_rays_agree(self):
+        ctx = PrecisionContext(digits=25)
+        for b in (5, 7, 11):
+            for c in range(1, (b + 1) // 2):
+                out = []
+                with mp.workdps(ctx.digits + 10):    # as inside trace_square
+                    for cc in (c, b - c):
+                        out.append(damped_ray_integral(
+                            BQF(0, b, cc), mp.mpf(-cc) / b, 1 / (b * mp.sqrt(6)), ctx))
+                (v1, e1), (v2, e2) = out
+                assert abs(v1 - v2) <= e1 + e2, (b, c)
+                assert abs(v1 - v2) <= mp.mpf("1e-30"), (b, c)
+
+
+class TestSquarePanels:
+    """Each Gauss-Legendre panel of a square trace reports an error estimate
+    read from its own samples, and takes no sample beyond them."""
+
+    def test_estimate_bounds_the_degree7_distance(self, monkeypatch):
+        panel = traces._gl_panel
+        seen = []
+
+        def checked(fun, a, b, degree):
+            val, est = panel(fun, a, b, degree)
+            ref, _ = panel(fun, a, b, 7)
+            seen.append((a, b, abs(val - ref), est))
+            return val, est
+
+        monkeypatch.setattr(traces, "_gl_panel", checked)
+        for n, panels in ((1, 5), (25, 15), (49, 20)):
+            seen.clear()
+            trace_square(n, PrecisionContext(digits=25))
+            assert len(seen) == panels, n
+            for a, b, diff, est in seen:
+                assert diff <= est, (n, a, b, diff, est)
+
+    def test_evaluations_per_trace(self, count_f_evals):
+        # the rays of (0,1,0), (0,5,1) and (0,5,2), the last two standing
+        # for their mirrors; five panels of 48 nodes each
+        trace_square(25, PrecisionContext(digits=25))
+        assert count_f_evals[0] == 3 * 5 * 48
