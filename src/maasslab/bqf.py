@@ -270,7 +270,9 @@ def _transporter_in_gamma06(g0: GroupElement, M: GroupElement):
 
 
 def gamma06_equivalent(Q1: BQF, Q2: BQF) -> bool:
-    """Proper equivalence under Gamma0(6)/{+-1}."""
+    """Proper equivalence under Gamma0(6)/{+-1}, by a transporter search.
+    The class sets decide by sl2_class_key instead (enumerate_classes); this
+    is their independent check."""
     D = Q1.disc()
     if Q2.disc() != D:
         return False
@@ -329,31 +331,20 @@ class ClassSet:
 
 
 def class_number(d: int) -> int:
-    """Form class number h(d): proper classes of primitive forms.
+    """Form class number h(d): proper SL2(Z) classes of primitive forms.
 
     Negative d: reduced-form count.  Positive non-square d: number of
     reduction cycles.  Square d = m^2: Euler phi(m), the count of primitive
     classes compatible with the regulator-weighted square-index formula."""
     if d % 4 not in (0, 1) or d == 0:
         raise ValueError("not a discriminant")
-    if d < 0:
-        return len(reduced_definite_forms(d, primitive_only=True))
     if is_square(d):
         m = math.isqrt(d)
         return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
-    forms = _reduced_indefinite_forms(d)
-    remaining = set(forms)
-    cycles = 0
-    while remaining:
-        start = remaining.pop()
-        cyc, _ = cycle_of(start)
-        for f, _g in cyc:
-            remaining.discard(f)
-        cycles += 1
-    return cycles
+    return len(sl2_class_keys(d, primitive_only=True))
 
 
-def _reduced_indefinite_forms(D: int, primitive_only: bool = True):
+def _reduced_indefinite_forms(D: int, primitive_only: bool):
     out = []
     s = math.isqrt(D)
     for b in range(1, s + 1):
@@ -372,6 +363,31 @@ def _reduced_indefinite_forms(D: int, primitive_only: bool = True):
     return out
 
 
+def sl2_class_key(Q: BQF) -> BQF:
+    """A label of the SL2(Z) class of Q: the reduced form (disc < 0) or the
+    least form of its reduction cycle (positive non-square disc)."""
+    if Q.disc() < 0:
+        return reduce_definite(Q)[0]
+    cyc, _ = cycle_of(reduce_indefinite(Q)[0])
+    return min((form for form, _g in cyc), key=BQF.as_tuple)
+
+
+def sl2_class_keys(D: int, primitive_only: bool = False) -> set:
+    """The sl2_class_key of every SL2(Z) class of discriminant D (D < 0, or
+    D > 0 not a square), of all contents unless primitive_only: the reduced
+    forms, or one least form per reduction cycle."""
+    if D < 0:
+        return set(reduced_definite_forms(D, primitive_only))
+    keys = set()
+    remaining = set(_reduced_indefinite_forms(D, primitive_only))
+    while remaining:
+        cyc, _ = cycle_of(remaining.pop())
+        forms = [form for form, _g in cyc]
+        remaining.difference_update(forms)
+        keys.add(min(forms, key=BQF.as_tuple))
+    return keys
+
+
 def _qn_candidates(n: int, a_bound: int):
     """Forms [a,b,c] with 6|a, 0<a<=a_bound, b = 1 mod 12, disc n; one b per
     translation class mod 2a."""
@@ -381,29 +397,6 @@ def _qn_candidates(n: int, a_bound: int):
             if (b * b - n) % (4 * a):
                 continue
             yield BQF(a, b, (b * b - n) // (4 * a))
-
-
-def _sl2_class_key(Q: BQF) -> BQF:
-    """A label of the SL2(Z) class of Q: the reduced form (disc < 0) or the
-    least form of its reduction cycle (positive non-square disc)."""
-    if Q.disc() < 0:
-        return reduce_definite(Q)[0]
-    cyc, _ = cycle_of(reduce_indefinite(Q)[0])
-    return min((form for form, _g in cyc), key=BQF.as_tuple)
-
-
-def _dedupe_gamma06(cands):
-    """The first candidate of each Gamma0(6) class, in candidate order.  Forms
-    in different SL2(Z) classes are never Gamma0(6)-equivalent, so each
-    candidate is compared only with the representatives of its SL2(Z) class."""
-    reps = []
-    by_key = {}
-    for Q in cands:
-        same = by_key.setdefault(_sl2_class_key(Q), [])
-        if not any(gamma06_equivalent(Q, R) for R in same):
-            same.append(Q)
-            reps.append(Q)
-    return reps
 
 
 def square_class_reps(n: int):
@@ -418,46 +411,39 @@ def square_class_reps(n: int):
     return r, [BQF(0, b, c) for c in range(b)]
 
 
-def enumerate_classes(n: int, expect: int | None = None) -> ClassSet:
-    """Representatives of Gamma0(6)\\Q_n for n = 1 mod 24."""
+def enumerate_classes(n: int) -> ClassSet:
+    """Representatives of Gamma0(6)\\Q_n for n = 1 mod 24, imprimitive
+    classes included.
+
+    For gcd(n, 6) = 1, Gamma0(6)\\Q_n -> SL2(Z)\\{forms of disc n} is a
+    bijection (Gross-Kohnen-Zagier, Math. Ann. 278 (1987), I.1), so two forms
+    of Q_n are Gamma0(6)-equivalent exactly when their sl2_class_keys agree.
+    Non-square n: the first candidate of each SL2(Z) class by increasing a,
+    until every class of disc n has one."""
     if n % 24 != 1 or n == 0:
         raise ValueError("index must be nonzero and 1 mod 24")
-    if n < 0:
-        target = expect if expect is not None else class_number(n)
-        bound = 6 * (math.isqrt(abs(n) // 3) + 1)
-        reps = _dedupe_gamma06(_qn_candidates(n, bound))
-        while len(reps) < target and bound < 600 * (math.isqrt(abs(n)) + 1):
-            bound *= 2
-            reps = _dedupe_gamma06(_qn_candidates(n, bound))
-        if len(reps) != target:
-            raise ArithmeticError(
-                f"found {len(reps)} classes for n={n}, expected {target}")
-        return ClassSet(n, tuple(reps), "negative")
     if is_square(n):
         r, base = square_class_reps(n)
         W = atkin_lehner(r)
-        reps = tuple(act(W, Q) for Q in base)
-        return ClassSet(n, reps, "square")
-    # positive non-square
-    target = expect if expect is not None else class_number(n)
-    bound = 6 * (math.isqrt(n) + 2)
-    reps = _dedupe_gamma06(_qn_candidates(n, bound))
-    tries = 0
-    while len(reps) < target and tries < 6:
-        bound *= 2
-        reps = _dedupe_gamma06(_qn_candidates(n, bound))
-        tries += 1
-    if len(reps) != target:
-        raise ArithmeticError(
-            f"found {len(reps)} classes for n={n}, expected {target}")
-    return ClassSet(n, tuple(reps), "positive-nonsquare")
+        return ClassSet(n, tuple(act(W, Q) for Q in base), "square")
+    missing = sl2_class_keys(n)
+    reps = []
+    for Q in _qn_candidates(n, 600 * (math.isqrt(abs(n)) + 1)):
+        key = sl2_class_key(Q)
+        if key in missing:
+            missing.remove(key)
+            reps.append(Q)
+            if not missing:
+                regime = "negative" if n < 0 else "positive-nonsquare"
+                return ClassSet(n, tuple(reps), regime)
+    raise ArithmeticError(f"{len(missing)} classes of disc {n} have no form in Q_n")
 
 
 # ---------------------------------------------------------------------------
 # CM points, geodesics, cusp data
 # ---------------------------------------------------------------------------
 
-def cm_point(Q: BQF, ctx=None):
+def cm_point(Q: BQF):
     """Root of Q(tau, 1) in the upper half plane, as an mpmath complex."""
     from mpmath import mp
     D = Q.disc()

@@ -185,7 +185,7 @@ def cmd_eval(args):
     elif which == "f":
         val = f_eval(tau, ctx)
     elif which == "F":
-        val = F_expansion(24 * (args.n_max // 24 + 1), ctx).eval(tau, ctx)
+        val = F_expansion(24 * (args.n_max // 24 + 1)).eval(tau, ctx)
     elif which == "H":
         traces = build_trace_table(args.n_max, ctx, c_max=min(args.c_max, 4000))
         val = assemble_H(args.n_max, traces=traces, ctx=ctx).eval(tau, ctx)
@@ -255,7 +255,7 @@ def cmd_verify(args):
     elif which in ("xi", "delta"):
         traces = build_trace_table(args.n_max, ctx, c_max=min(args.c_max, 4000))
         hx = assemble_H(args.n_max, traces=traces, ctx=ctx)
-        Fx = F_expansion(24 * 9, ctx)
+        Fx = F_expansion(24 * 9)
         tau = mp.mpc("0.2", "1.4")
         if which == "xi":
             r = abs(xi_op(lambda t: hx.eval(t, ctx), mp.mpf(1) / 2, tau, ctx=ctx)

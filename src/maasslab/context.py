@@ -19,24 +19,17 @@ def _default_digits() -> int:
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Bundle of precision knobs: decimal digits, quadrature tolerance,
-    series truncation threshold, and Kloosterman-sum cutoff."""
+    """Bundle of precision knobs: decimal digits and Kloosterman-sum cutoff."""
 
     digits: int = 60
-    quad_tol: float | None = None   # relative quadrature tolerance
-    series_cut: int = 400           # default q-expansion truncation (exponent numerator)
     c_max: int = 10_000             # modulus cutoff in Kloosterman series
 
     def __post_init__(self):
         if self.digits < 20:
             raise ValueError("need at least 20 working digits")
-        tol = self.quad_tol if self.quad_tol is not None else mpmath.mpf(10) ** (-self.digits + 10)
-        if tol < mpmath.mpf(10) ** (-self.digits + 10):
-            raise ValueError("quad_tol finer than working precision supports")
-        object.__setattr__(self, "quad_tol", tol)
 
     def with_digits(self, digits: int) -> "PrecisionContext":
-        return replace(self, digits=digits, quad_tol=None)
+        return replace(self, digits=digits)
 
     @property
     def eps(self):

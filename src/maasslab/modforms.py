@@ -390,7 +390,7 @@ def _solve_exact(A, b):
 # Harmonic expansions of F and the level-4 Zagier form
 # ---------------------------------------------------------------------------
 
-def F_expansion(trunc24: int = 24 * 16, ctx: PrecisionContext = DEFAULT_CTX,
+def F_expansion(trunc24: int = 24 * 16,
                 neg_trunc: int | None = None) -> HarmonicExpansion:
     """The weight-3/2 harmonic form built from the smallest-parts counts:
     hol part sum s((n+1)/24) q^{n/24} starting at s(0) q^{-1/24}, nonhol part
@@ -412,8 +412,7 @@ def F_expansion(trunc24: int = 24 * 16, ctx: PrecisionContext = DEFAULT_CTX,
     return HarmonicExpansion(24, terms, [], label="F")
 
 
-def zminus_expansion(trunc: int = 60,
-                     ctx: PrecisionContext = DEFAULT_CTX) -> HarmonicExpansion:
+def zminus_expansion(trunc: int = 60) -> HarmonicExpansion:
     """Zagier's weight-3/2 Eisenstein-type form: Hurwitz class numbers,
     the 1/(8 pi sqrt y) term, and beta_{3/2}(4 pi n^2 y) corrections."""
     from .classnum import hurwitz_H

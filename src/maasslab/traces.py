@@ -19,8 +19,8 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
 
-from .bqf import (BQF, ClassSet, act, automorph, enumerate_classes,
-                  gamma06_equivalent, geodesic_data, w6_reflection, w6_sigma)
+from .bqf import (BQF, ClassSet, automorph, cm_point, enumerate_classes,
+                  geodesic_data, sl2_class_key, w6_reflection, w6_sigma)
 from .context import DEFAULT_CTX, PrecisionContext
 from .exact import chi12_sqrt, is_square
 from .matrices import GroupElement, atkin_lehner
@@ -48,8 +48,7 @@ def trace_cm(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     with mp.workdps(ctx.digits + 10):
         total = mp.mpf(0)
         for Q in cs.reps:
-            tau = mp.mpc(-Q.b, mp.sqrt(abs(n))) / (2 * Q.a)
-            total += f_eval(tau, ctx).real
+            total += f_eval(cm_point(Q), ctx).real
         err = mp.mpf(10) ** (-ctx.digits + 6) * (1 + abs(total))
         return TraceValue(n, +total, "cm", +err)
 
@@ -161,8 +160,7 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
 
 
 def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
-                classes: ClassSet | None = None,
-                base_shift=None) -> TraceValue:
+                classes: ClassSet | None = None) -> TraceValue:
     """(1/2pi) sum over classes of the cycle integral, n > 0 non-square.
 
     sigma Q = -W_6 Q = [-6c, b, -a/6] maps Q_n onto itself and normalizes
@@ -171,26 +169,21 @@ def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     integral does not see).  With f | W_6 = f the two classes of a pair
     {Q, sigma Q} have the same cycle integral: the first of each pair is
     integrated once and counted twice.  A class fixed by sigma is integrated
-    over half of its period (cycle_integral)."""
+    over half of its period (cycle_integral).  The partner of Q is the class
+    with the SL2(Z) key of sigma Q: on Q_n, Gamma0(6)- and SL2(Z)-equivalence
+    agree (bqf.enumerate_classes)."""
     if n <= 0 or n % 24 != 1:
         raise ValueError("cycle trace needs n > 0, n = 1 mod 24")
     if is_square(n):
         raise ValueError("square index: use trace_square")
     cs = classes if classes is not None else enumerate_classes(n)
-    todo = sorted(cs.reps, key=lambda q: q.as_tuple())
-    if base_shift is not None:
-        todo = [act(base_shift, Q) for Q in todo]
+    todo = {sl2_class_key(Q): Q for Q in sorted(cs.reps, key=BQF.as_tuple)}
     with mp.workdps(ctx.digits + 10):
         total = mp.mpf(0)
         err = mp.mpf(0)
         while todo:
-            Q = todo.pop(0)
-            sQ = w6_sigma(Q)
-            partner = next((R for R in todo if gamma06_equivalent(sQ, R)), None)
-            weight = 1
-            if partner is not None:
-                todo.remove(partner)
-                weight = 2
+            Q = todo.pop(next(iter(todo)))
+            weight = 1 if todo.pop(sl2_class_key(w6_sigma(Q)), None) is None else 2
             v, e = cycle_integral(Q, ctx)
             total += weight * v
             err += weight * e
@@ -325,9 +318,9 @@ def damped_ray_integral(Q: BQF, x0, y0, ctx: PrecisionContext = DEFAULT_CTX,
     """int_{y0}^oo f_Q(x0 + i y) dy/y for a square-discriminant form
     Q = (0, b, c) whose cusps are oo and x0 = -c/b, with its error estimate:
     Gauss-Legendre panels of 48 nodes (degree 5) between the break points
-    y0, 2 y0, 1/2, 1, 2 that lie below Y1, analytic tails beyond.  The
-    estimate is the sum of the panels' own (_gl_panel), read from the last
-    two Legendre coefficients of each panel's 48 samples.
+    y0, 2 y0, 1/2, 1, 2 that lie below Y1, in increasing order, analytic
+    tails beyond.  The estimate is the sum of the panels' own (_gl_panel),
+    read from the last two Legendre coefficients of each panel's 48 samples.
 
     On the ray both subtracted seeds are a constant phase times a real sinh
     (_ray_seed), so a node costs one f_eval and two real exponentials, and
@@ -361,11 +354,8 @@ def damped_ray_integral(Q: BQF, x0, y0, ctx: PrecisionContext = DEFAULT_CTX,
                     val -= coeff * mp.sinh(k * y if at_oo else k / y)
             return val / y
 
-        pts = [y0]
-        for p in (2 * y0, mp.mpf(1) / 2, 1, 2):
-            if y0 < p < Y1:
-                pts.append(p)
-        pts.append(Y1)
+        pts = sorted(p for p in (2 * y0, mp.mpf(1) / 2, 1, 2) if y0 < p < Y1)
+        pts = [y0, *pts, Y1]
         head = mp.mpf(0)
         head_err = mp.mpf(0)
         for a, b in zip(pts, pts[1:]):

@@ -104,7 +104,7 @@ SAMPLE_POINTS = [mp.mpc("0.13", "1.2"), mp.mpc("0.2", "1.3"),
 
 
 def test_criterion5_operator_identities(ctx30, H_full):
-    F = F_expansion(24 * 9, ctx30)
+    F = F_expansion(24 * 9)
     worst_xi32 = worst_xi12 = worst_delta = mp.mpf(0)
     for tau in SAMPLE_POINTS:
         r = abs(xi_op(lambda t: F.eval(t, ctx30), mp.mpf(3) / 2, tau,

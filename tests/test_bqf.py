@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,14 +6,19 @@ import pytest
 from mpmath import mp
 
 from maasslab import bqf
-from maasslab.bqf import (BQF, act, automorph, cm_point, enumerate_classes,
-                          gamma06_equivalent, geodesic_data,
-                          reduced_definite_forms, square_class_reps,
-                          w6_reflection, w6_sigma)
+from maasslab.bqf import (BQF, act, automorph, class_number, cm_point,
+                          enumerate_classes, gamma06_equivalent, geodesic_data,
+                          reduced_definite_forms, sl2_class_key,
+                          square_class_reps, w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
 from maasslab.matrices import IDENTITY, atkin_lehner, projectively_equal
 
 CTX = PrecisionContext(digits=40)
+
+# indices with imprimitive classes (square factors 25, 49, 49 and 25), where
+# counting only primitive classes falls short
+IMPRIMITIVE_COUNTS = {-575: 21, -1127: 27, -1175: 35, 1825: 7}
+IMPRIMITIVE_CM = tuple(n for n in IMPRIMITIVE_COUNTS if n < 0)
 
 
 class TestAtkinLehner:
@@ -56,9 +62,21 @@ class TestClassSets:
         assert len(enumerate_classes(-71).reps) == 7
 
     def test_counts_match_reduced_form_oracle(self):
-        for n in (-23, -47, -71):
-            reduced = reduced_definite_forms(n, primitive_only=True)
-            assert len(enumerate_classes(n).reps) == len(reduced)
+        # one class per reduced form of any content
+        for n in (-23, -47, -71) + IMPRIMITIVE_CM:
+            assert len(enumerate_classes(n).reps) == len(reduced_definite_forms(n))
+
+    def test_imprimitive_counts(self):
+        # h(n) = sum of h(n/g^2) over the contents g of forms of disc n
+        for n, count in IMPRIMITIVE_COUNTS.items():
+            reps = enumerate_classes(n).reps
+            assert len(reps) == count, n
+            assert len({sl2_class_key(Q) for Q in reps}) == count
+            by_content = sum(class_number(n // (g * g))
+                             for g in range(1, math.isqrt(abs(n)) + 1)
+                             if n % (g * g) == 0 and (n // (g * g)) % 4 in (0, 1))
+            assert by_content == count, n
+            assert any(Q.content() > 1 for Q in reps)
 
     def test_membership_conditions(self):
         for n in (-23, -95, 73):
@@ -178,23 +196,18 @@ NONSQUARE = (73, 97, 145, 193, 217, 241, 265, 313, 337)
 CM_INDICES = tuple(range(-23, -480, -24))
 
 
-def test_keyed_dedupe_matches_pairwise(monkeypatch):
-    # comparing each candidate only with representatives of its SL2(Z) class
-    # must keep the same representatives, in the same order, as comparing it
-    # with every representative
-    fast = {n: enumerate_classes(n).reps for n in CM_INDICES + NONSQUARE}
-
-    def pairwise(cands):
-        reps = []
-        for Q in cands:
-            if not any(gamma06_equivalent(Q, R) for R in reps):
-                reps.append(Q)
-        return reps
-
-    monkeypatch.setattr(bqf, "_dedupe_gamma06", pairwise)
+def test_keyed_dedupe_matches_pairwise():
+    # keeping the first candidate of each SL2(Z) class must keep the same
+    # representatives, in the same order, as comparing each candidate with
+    # every kept one under Gamma0(6)
     assert len(CM_INDICES) == 20
-    for n, reps in fast.items():
-        assert enumerate_classes(n).reps == reps, n
+    for n in CM_INDICES + NONSQUARE + tuple(IMPRIMITIVE_COUNTS):
+        reps = enumerate_classes(n).reps
+        pairwise = []
+        for Q in bqf._qn_candidates(n, max(R.a for R in reps)):
+            if not any(gamma06_equivalent(Q, R) for R in pairwise):
+                pairwise.append(Q)
+        assert tuple(pairwise) == reps, n
 
 
 class TestW6Reflection:

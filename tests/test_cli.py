@@ -55,6 +55,15 @@ def test_trace_cycle_long_period(capsys):
     assert doc["values"]["value"] == mp.nstr(tv.value, 25)
 
 
+def test_verify_spt_identity_with_imprimitive_classes(capsys):
+    # n = -575 is the first index with classes of content 5
+    code, out = run_cli(capsys, "--no-timing", "verify", "spt-identity",
+                        "--n-max", "600")
+    doc = json.loads(out)
+    assert code == 0 and doc["values"]["all_pass"] is True
+    assert len(json.loads(doc["values"]["rows"])) == 25
+
+
 def test_invalid_subcommand_exit2(capsys):
     assert main(["nonsense"]) == 2
 

@@ -330,12 +330,12 @@ class TestGdFamily:
 
 class TestHarmonicExpansions:
     def test_F_principal_term(self):
-        F = F_expansion(24 * 4, CTX)
+        F = F_expansion(24 * 4)
         assert F.terms[-1].hol == Fraction(-1, 12)
         assert F.terms[23].hol == Fraction(35, 12)
 
     def test_zminus_special_term(self):
-        Z = zminus_expansion(20, CTX)
+        Z = zminus_expansion(20)
         assert ("inv_sqrt_y_over_pi", Fraction(1, 8)) in Z.specials
         assert Z.terms[0].hol == Fraction(-1, 12)
         assert Z.terms[-1].beta32 == [(Fraction(-1, 2), Fraction(4))]
@@ -344,14 +344,14 @@ class TestHarmonicExpansions:
         # xi_{3/2} F = -(sqrt 6/(4 pi)) eta via finite differences
         from maasslab.spectral import xi_op
         ctx = PrecisionContext(digits=30)
-        F = F_expansion(24 * 8, ctx)
+        F = F_expansion(24 * 8)
         tau = mp.mpc("0.13", "1.2")
         resid = abs(xi_op(lambda t: F.eval(t, ctx), mp.mpf(3) / 2, tau, ctx=ctx)
                     + mp.sqrt(6) / (4 * mp.pi) * eta_eval(tau, ctx))
         assert resid < mp.mpf("1e-6")
 
     def test_expansion_json(self):
-        Z = zminus_expansion(12, CTX)
+        Z = zminus_expansion(12)
         doc = json.loads(Z.to_json())
         assert doc["denom"] == 1
         assert any(t["exponent_num"] == 0 for t in doc["terms"])

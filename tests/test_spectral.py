@@ -178,7 +178,7 @@ class TestOperators:
         assert abs(v) < mp.mpf("1e-8")
 
     def test_xi_H_is_F(self, ctx30, H_full):
-        F = F_expansion(24 * 9, ctx30)
+        F = F_expansion(24 * 9)
         tau = mp.mpc("0.2", "1.3")
         resid = abs(xi_op(lambda t: H_full.eval(t, ctx30), mp.mpf(1) / 2,
                           tau, ctx=ctx30)

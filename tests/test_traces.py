@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from maasslab import modforms, traces
-from maasslab.bqf import (BQF, act, automorph, enumerate_classes,
+from maasslab.bqf import (BQF, ClassSet, act, automorph, enumerate_classes,
                           gamma06_equivalent, w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
 from maasslab.exact import trace_cm_exact
@@ -47,6 +47,13 @@ class TestCMTraces:
             assert abs(tv.value - int(target)) < mp.mpf("1e-8")
             assert abs(tv.value - mp.nint(tv.value)) <= tv.err_est * 10 + mp.mpf("1e-20")
 
+    def test_imprimitive_classes_counted(self, ctx30):
+        # 21, 27 and 35 classes, some of content 5 or 7: the exact value needs
+        # every one of them
+        for n in (-575, -1127, -1175):
+            tv = trace_cm(n, ctx30)
+            assert abs(tv.value - int(trace_cm_exact(n))) <= tv.err_est, n
+
     def test_rejects_positive(self):
         with pytest.raises(ValueError):
             trace_cm(25, CTX)
@@ -58,7 +65,10 @@ class TestCycleTraces:
         # point along the geodesic; the trace must not move
         t1 = trace_cycle(73, ctx30)
         shift = GroupElement(1, 1, 0, 1)   # T: acts on forms, moving tau0
-        t2 = trace_cycle(73, ctx30, base_shift=shift)
+        cs = enumerate_classes(73)
+        shifted = ClassSet(73, tuple(act(shift, Q) for Q in cs.reps), cs.regime)
+        assert shifted.reps != cs.reps
+        t2 = trace_cycle(73, ctx30, classes=shifted)
         assert abs(t1.value - t2.value) < mp.mpf("1e-10")
 
     def test_integrand_invariance(self, ctx30):
@@ -192,10 +202,11 @@ class TestW6Symmetry:
             assert pairs >= 1, n
 
     def test_half_the_evaluations(self, count_f_evals):
-        # both are single sigma-fixed classes: 1024 and 2048 nodes over the
-        # full period, folded to 513 and 1025 evaluations, every one of them
-        # through traces.f_eval
-        for n, count in ((73, 513), (193, 1025)):
+        # 73 and 193 are single sigma-fixed classes: 1024 and 2048 nodes over
+        # the full period, folded to 513 and 1025 evaluations, every one of
+        # them through traces.f_eval; 145 has two fixed classes (257 each)
+        # and one pair whose partner is not integrated (512)
+        for n, count in ((73, 513), (193, 1025), (145, 1026)):
             count_f_evals[0] = 0
             trace_cycle(n, PrecisionContext(digits=30))
             assert count_f_evals[0] == count, n
