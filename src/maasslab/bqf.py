@@ -107,27 +107,6 @@ def reduced_definite_forms(D: int, primitive_only: bool = False):
     return forms
 
 
-def definite_automorphs(Q: BQF):
-    """The finite SL2(Z) stabilizer of a definite form (both signs kept)."""
-    D = Q.disc()
-    auts = []
-    umax = math.isqrt(4 // abs(D)) if abs(D) <= 4 else 0
-    for u in range(-umax - 1, umax + 2):
-        rhs = 4 + D * u * u
-        if rhs < 0:
-            continue
-        t = math.isqrt(rhs)
-        if t * t != rhs:
-            continue
-        for tt in ({t, -t} if t else {0}):
-            if (tt - Q.b * u) % 2:
-                continue
-            g = GroupElement((tt - Q.b * u) // 2, -Q.c * u,
-                             Q.a * u, (tt + Q.b * u) // 2)
-            auts.append(g)
-    return auts
-
-
 # ---------------------------------------------------------------------------
 # Indefinite reduction cycles
 # ---------------------------------------------------------------------------
@@ -248,7 +227,7 @@ def automorph(Q: BQF) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# Gamma0(6) equivalence
+# The W_6 reflection
 # ---------------------------------------------------------------------------
 
 def _transporter_in_gamma06(g0: GroupElement, M: GroupElement):
@@ -267,28 +246,6 @@ def _transporter_in_gamma06(g0: GroupElement, M: GroupElement):
         mk = mk @ M
         cur = cur @ M
     raise ArithmeticError("transporter search did not stabilize")
-
-
-def gamma06_equivalent(Q1: BQF, Q2: BQF) -> bool:
-    """Proper equivalence under Gamma0(6)/{+-1}, by a transporter search.
-    The class sets decide by sl2_class_key instead (enumerate_classes); this
-    is their independent check."""
-    D = Q1.disc()
-    if Q2.disc() != D:
-        return False
-    if D < 0:
-        R1, g1 = reduce_definite(Q1)
-        R2, g2 = reduce_definite(Q2)
-        if R1 != R2:
-            return False
-        g2i = g2.inverse_scaled()
-        return any((g2i @ u @ g1).c % 6 == 0 for u in definite_automorphs(R1))
-    if is_square(D):
-        raise ValueError("square-discriminant classes are matched by their cusp data")
-    g0 = sl2_transporter_indefinite(Q1, Q2)
-    if g0 is None:
-        return False
-    return _transporter_in_gamma06(g0, automorph(Q1)) is not None
 
 
 def w6_sigma(Q: BQF) -> BQF:
@@ -325,9 +282,13 @@ def w6_reflection(Q: BQF):
 
 @dataclass(frozen=True)
 class ClassSet:
+    """Representatives of Gamma0(6)\\Q_n; keys[i] is the sl2_class_key of
+    reps[i], or keys is None for square n, where sl2_class_key is not
+    defined."""
     n: int
     reps: tuple
     regime: str
+    keys: tuple | None
 
 
 def class_number(d: int) -> int:
@@ -425,17 +386,18 @@ def enumerate_classes(n: int) -> ClassSet:
     if is_square(n):
         r, base = square_class_reps(n)
         W = atkin_lehner(r)
-        return ClassSet(n, tuple(act(W, Q) for Q in base), "square")
+        return ClassSet(n, tuple(act(W, Q) for Q in base), "square", None)
     missing = sl2_class_keys(n)
-    reps = []
+    reps, keys = [], []
     for Q in _qn_candidates(n, 600 * (math.isqrt(abs(n)) + 1)):
         key = sl2_class_key(Q)
         if key in missing:
             missing.remove(key)
             reps.append(Q)
+            keys.append(key)
             if not missing:
                 regime = "negative" if n < 0 else "positive-nonsquare"
-                return ClassSet(n, tuple(reps), regime)
+                return ClassSet(n, tuple(reps), regime, tuple(keys))
     raise ArithmeticError(f"{len(missing)} classes of disc {n} have no form in Q_n")
 
 

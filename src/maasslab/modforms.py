@@ -16,8 +16,8 @@ rapidly convergent q-series at the reduced point (the pentagonal series for
 eta, Horner on the integer coefficients for E4/E6).  f is invariant up to the
 sign mu(e) under the Atkin-Lehner involutions W_e, e | 6, so it is evaluated
 by one reduction into a fundamental domain of Gamma0(6)+ (the group generated
-by Gamma0(6) and the W_e), where Im tau >= sqrt(2)/6, followed by one Horner
-loop over the integer coefficients of f in fixed-point arithmetic.
+by Gamma0(6) and the W_e), where Im tau >= sqrt(2)/6, followed by a blocked
+sum over the integer coefficients of f, both in fixed-point arithmetic.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from mpmath import mp
+from mpmath.libmp import (dps_to_prec, from_man_exp, mpf_cos_sin_pi, mpf_exp,
+                          mpf_mul, mpf_pi, round_nearest, to_fixed)
 
 from .context import DEFAULT_CTX, PrecisionContext
 from .exact import chi12, chi12_sqrt, s_coeff
@@ -163,55 +166,76 @@ MU = {1: 1, 2: -1, 3: -1, 6: 1}
 # |tau| = 1/sqrt(6) (e = 6), |tau - 1/3| = sqrt(2)/6 (e = 2) and
 # |tau - 1/2| = 1/(2 sqrt(3)) (e = 3) meet.
 _Y_MIN = math.sqrt(2) / 6
+# (e, mu(e), 6/e, sqrt(e)/6) for the W_e steps of _reduce_plus: since
+# e |(6/e) tau + d|^2 >= e (6/e)^2 (Im tau)^2, a step of type e can only be
+# taken below Im tau = sqrt(e)/6
+_STEPS = tuple((e, mu, 6 // e, math.sqrt(e) / 6) for e, mu in MU.items())
 
 
-def _reduce_plus(tau, start=None):
-    """Reduce tau into the Gamma0(6)+ domain; returns (z, sign, g) with
-    z = g tau, f(tau) = sign f(z) and Im z >= _Y_MIN.
+def _moebius(m, zr, zi, W):
+    """m = (a, b, c, d) applied to z = (zr + i zi) / 2^W, in the same fixed
+    point: (a z + b)/(c z + d) = (a z + b) conj(c z + d) / |c z + d|^2, with
+    numerator and denominator exact integers, so each part takes one floor
+    division and its error is below one unit 2^-W."""
+    a, b, c, d = m
+    one = 1 << W
+    nr, ni = a * zr + b * one, a * zi
+    dr, di = c * zr + d * one, c * zi
+    n2 = dr * dr + di * di
+    return ((nr * dr + ni * di) << W) // n2, ((ni * dr - nr * di) << W) // n2
+
+
+def _reduce_plus(zr, zi, W, start=None):
+    """Reduce z = (zr + i zi) / 2^W, Im z > 0, into the Gamma0(6)+ domain, in
+    fixed point at W bits; returns (zr, zi, sign, g) for the reduced point
+    g z, with f(z) = sign f(g z) and Im g z >= _Y_MIN.
 
     g = (a, b, c, d) is the exact integer matrix [[a, b], [c, d]] of the
     reduction, divided by the gcd of its entries, so its determinant is a
-    product of the e | 6 (1, 2, 3 or 6).  Each step translates Re tau into
-    [-1/2, 1/2] and applies the element with the smallest e |(6/e) tau + d|^2
-    while that is below 1.  Only the two integers d next to -(6/e) Re tau
-    can give a value below 1.  The choice is made in floating point, with a
-    margin of 1e-12 so that a point on an arc is not mapped back and forth;
-    the step itself is done at working precision and composed into g.
+    product of the e | 6 (1, 2, 3 or 6).  Each step translates Re z into
+    [-1/2, 1/2] and applies the element with the smallest e |(6/e) z + d|^2
+    while that is below 1.  Only the two integers d next to -(6/e) Re z can
+    give a value below 1.  The choice is made in floating point, on
+    zr / 2^W and zi / 2^W, with a margin of 1e-12 so that a point on an arc
+    is not mapped back and forth; the step itself is the integer Moebius map
+    _moebius of [[e a, e (e a d - 1)/6], [6, e d]], composed into g.
 
     start = (g, sign), the result for a nearby point, warm-starts the
-    reduction from g tau: neighbouring points along a path usually lie in
-    the same translate of the domain, and then no step is taken.  If g tau
-    lies below _Y_MIN / 2 the reduction starts cold from tau instead: the
-    old matrix may send tau so close to the real axis that the working
-    precision no longer resolves g tau.  Above that height g tau costs one
-    Moebius map, whose rounding is that of the steps it replaces."""
-    if tau.imag <= 0:
-        raise ValueError("point must be in the upper half plane")
+    reduction from g z: neighbouring points along a path usually lie in the
+    same translate of the domain, and then no step is taken.  If g z lies
+    below _Y_MIN / 2 the reduction starts cold from z instead: the old
+    matrix may send z so close to the real axis that W bits no longer
+    resolve g z.  Above that height g z costs one Moebius map, whose
+    rounding is that of the steps it replaces."""
+    one = 1 << W
     if start is not None:
-        (a, b, c, d), sign = start
-        z = (a * tau + b) / (c * tau + d)
-    if start is None or z.imag < _Y_MIN / 2:
-        z, sign, (a, b, c, d) = tau, 1, (1, 0, 0, 1)
+        g, sign = start
+        wr, wi = _moebius(g, zr, zi, W)
+    if start is None or wi / one < _Y_MIN / 2:
+        wr, wi, sign, g = zr, zi, 1, (1, 0, 0, 1)
+    a, b, c, d = g
     for _ in range(_MAX_STEPS):
-        k = int(mp.nint(z.real))
+        k = (wr + (one >> 1)) >> W
         if k:
-            z -= k
+            wr -= k << W
             a, b = a - k * c, b - k * d
-        x, y = float(z.real), float(z.imag)
+        x, y = wr / one, wi / one
         best, step = 1 - 1e-12, None
-        for e, mu in MU.items():
-            u = 6 // e * x
+        for e, mu, m, y_top in _STEPS:
+            if y >= y_top:
+                continue
+            u = m * x
             for dd in (math.floor(-u), math.floor(-u) + 1):
-                if math.gcd(dd, 6 // e) == 1:
-                    v = e * ((u + dd) ** 2 + (6 // e * y) ** 2)
+                if math.gcd(dd, m) == 1:
+                    v = e * ((u + dd) ** 2 + (m * y) ** 2)
                     if v < best:
                         best, step = v, (e, mu, dd)
         if step is None:
-            return z, sign, (a, b, c, d)
+            return wr, wi, sign, (a, b, c, d)
         e, mu, dd = step
         inv = pow(e * dd, -1, 6 // e)
-        z = e * (inv - 1 / (6 * z + e * dd)) / 6
         ea, eb = e * inv, e * (e * inv * dd - 1) // 6
+        wr, wi = _moebius((ea, eb, 6, e * dd), wr, wi, W)
         a, b, c, d = (ea * a + eb * c, ea * b + eb * d,
                       6 * a + e * dd * c, 6 * b + e * dd * d)
         h = math.gcd(a, b, c, d)
@@ -239,24 +263,69 @@ def _f_term_count(y: float, prec: int) -> int:
     return max(6, math.ceil(s * s))
 
 
+# f_eval works in fixed point at W = prec + _GUARD bits and sums the series in
+# blocks of _BLOCK terms; f_eval's docstring derives both
+_GUARD = 60
+_BLOCK = 8
+
+
 @lru_cache(maxsize=8)
-def _f_terms(prec: int) -> tuple:
+def _f_blocks(prec: int) -> tuple:
     """c(0), ..., c(N) of f - q^{-1}, enough for an error below 2^-prec
-    anywhere in the Gamma0(6)+ domain (N = _f_term_count(_Y_MIN, prec))."""
+    anywhere in the Gamma0(6)+ domain (N = _f_term_count(_Y_MIN, prec)), in
+    blocks of _BLOCK consecutive coefficients."""
     n = _f_term_count(_Y_MIN, prec)
-    return tuple(f_qexp(n).coeffs[1:n + 2])
+    c = f_qexp(n).coeffs[1:n + 2]
+    return tuple(tuple(c[i:i + _BLOCK]) for i in range(0, n + 1, _BLOCK))
 
 
 def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX, hint=None):
     """The level-6 modular function f = q^{-1} + 12 + 77q + ... .
 
-    tau is reduced into the Gamma0(6)+ domain, where f - q^{-1} is summed by
-    Horner's rule on the integer coefficients in fixed point (the real and
-    imaginary parts as two integers with 20 guard bits); q^{-1} = 1/q is
-    added in floating point, since it grows with Im tau (|q| <= e^{-2 pi
-    _Y_MIN} < 1 in the domain, so the division loses nothing).  The sum runs
-    over the _f_term_count(Im z) terms that the reduced point z needs, so
-    points high in the domain sum fewer terms than its lowest point.
+    One fixed-point pipeline at W = prec + _GUARD bits, where prec is the
+    working precision of ctx.digits + 10 digits: tau becomes two integers,
+    tau = (zr + i zi) / 2^W, which _reduce_plus reduces into the Gamma0(6)+
+    domain by integer Moebius maps.  At the reduced point z = x + iy,
+    q = e^{-2 pi y} e^{2 pi i x} comes from one exponential e^{2 pi y} and
+    one cosine/sine pair (raw mpmath libmp functions at W bits, no mpc
+    objects), and q^{-1} = e^{2 pi y} e^{-2 pi i x} from the same
+    exponential.  f - q^{-1} = sum c(n) q^n is summed in blocks of _BLOCK = 8
+    terms (Paterson-Stockmeyer, SIAM J. Comput. 2, 1973):
+
+        f - q^{-1} = sum_k q^{8k} B_k,   B_k = sum_{j < 8} c(8k + j) q^j,
+
+    with q^0, ..., q^8 computed once, each B_k an integer dot product of
+    eight coefficients with those powers (exact, a C-level loop), and
+    Horner's rule in q^8 over the blocks.  Blocks of about sqrt(count) terms
+    balance the powers against the Horner steps; count is 20 to 150 here.
+    The sum runs over the _f_term_count(y) terms that the reduced point
+    needs, so points high in the domain sum fewer terms than its lowest
+    point.  q^{-1} is added in the same fixed point: its integer grows with
+    e^{2 pi y} and keeps the W significant bits of the exponential.  The
+    result is rounded once to prec.
+
+    Precision.  Fixed point is absolute: a floor costs less than u = 2^-W.
+    In the domain |q| <= e^{-2 pi _Y_MIN} < 0.23.  q carries an error
+    below 3u, and each power q^j one below eps = 6u, since the error of
+    q^{j-1} shrinks by |q| at each product.  The dot products round nothing.
+    A Horner step S_k = S_{k+1} q^8 + B_k adds 2u, and eps |S_{k+1}| from
+    the error of q^8.  Summed over the blocks, the error is at most
+
+        eps sum_{n < count} |c(n)| (|q|^{n - n mod 8}
+                                     + floor(n/8) |q|^{n - 8}) + 2u,
+
+    which is largest at the domain's lowest point.  There, with
+    |c(n)| <= e^{4 pi sqrt(n/6)}, it is below 2^25 u for every prec (the
+    sum converges), and below the cruder (count + 8) eps max_n |c(n)|
+    |q|^{max(0, n - 8)}, about 2^31 u.  The reduction rounds each Moebius
+    map to 1u, and |f'| <= 2 pi sum |n c(n)| |q|^n < 2^11 there, so a few
+    units in the reduced point cost below 2^13 u.  The fixed-point error
+    thus stays below 2^(26 - _GUARD) 2^-prec = 2^-34 2^-prec, far under the
+    truncation bound 2^-prec of the sum; the extra bits cost little at
+    these sizes.  A point deep below the domain enters with its own
+    rounding to W bits, which the reduction magnifies by Im z / Im tau; that
+    is the conditioning of f at tau, which callers cover with extra digits
+    (traces.cycle_integral).
 
     hint, a one-element list, carries the reduction from call to call along
     a path of nearby points: hint[0] is None or the (g, sign) of the last
@@ -265,20 +334,43 @@ def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX, hint=None):
     point's (g, sign).  The reduced point is the same up to rounding, and the
     working precision, the term count and the sum do not depend on the path
     taken to it; without a hint every call starts cold."""
-    with mp.workdps(ctx.digits + 10):
-        z, sign, g = _reduce_plus(mp.mpc(tau), None if hint is None else hint[0])
-        if hint is not None:
-            hint[0] = (g, sign)
-        wp = mp.prec + 20
-        terms = _f_terms(mp.prec)
-        count = min(len(terms), _f_term_count(float(z.imag), mp.prec) + 1)
-        q = mp.expjpi(2 * z)
-        qr, qi = mp.to_fixed(q.real, wp), mp.to_fixed(q.imag, wp)
-        sr = si = 0
-        for c in reversed(terms[:count]):
-            sr, si = ((sr * qr - si * qi) >> wp) + (c << wp), (sr * qi + si * qr) >> wp
-        s = mp.mpc(mp.ldexp(sr, -wp), mp.ldexp(si, -wp))
-        return sign * (1 / q + s)
+    prec = dps_to_prec(ctx.digits + 10)
+    W = prec + _GUARD
+    one = 1 << W
+    if not isinstance(tau, mp.mpc):
+        with mp.workprec(W):
+            tau = mp.mpc(tau)
+    re, im = tau._mpc_
+    zr, zi = to_fixed(re, W), to_fixed(im, W)
+    if zi <= 0:
+        raise ValueError("point must be in the upper half plane")
+    zr, zi, sign, g = _reduce_plus(zr, zi, W, None if hint is None else hint[0])
+    if hint is not None:
+        hint[0] = (g, sign)
+
+    grow = to_fixed(mpf_exp(mpf_mul(mpf_pi(W), from_man_exp(zi, 1 - W), W), W), W)
+    cos, sin = (to_fixed(v, W) for v in mpf_cos_sin_pi(from_man_exp(zr, 1 - W), W))
+    damp = (one << W) // grow
+    qr, qi = damp * cos >> W, damp * sin >> W
+    pre, pim = [one, qr], [0, qi]        # q^0, ..., q^_BLOCK
+    for _ in range(_BLOCK - 1):
+        a, b = pre[-1], pim[-1]
+        pre.append((a * qr - b * qi) >> W)
+        pim.append((a * qi + b * qr) >> W)
+
+    blocks = _f_blocks(prec)      # through c(N), N the count at _Y_MIN
+    k, r = divmod(_f_term_count(max(zi / one, _Y_MIN), prec), _BLOCK)
+    top = blocks[k][:r + 1]
+    sr, si = sum(map(mul, top, pre)), sum(map(mul, top, pim))
+    q8r, q8i = pre[_BLOCK], pim[_BLOCK]
+    for c in reversed(blocks[:k]):
+        sr, si = (((sr * q8r - si * q8i) >> W) + sum(map(mul, c, pre)),
+                  ((sr * q8i + si * q8r) >> W) + sum(map(mul, c, pim)))
+
+    sr += grow * cos >> W
+    si -= grow * sin >> W
+    return mp.make_mpc((from_man_exp(sign * sr, -W, prec, round_nearest),
+                        from_man_exp(sign * si, -W, prec, round_nearest)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.libmp import from_man_exp, mpf_exp, to_fixed
 
 from .bqf import (BQF, ClassSet, automorph, cm_point, enumerate_classes,
                   geodesic_data, sl2_class_key, w6_reflection, w6_sigma)
@@ -89,8 +90,16 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
 
     Points at |l| near P/2 lie about e^{-P/2} above the real axis, so the
     geometry carries P/(2 ln 10) + 10 digits beyond the working precision
-    and f_eval P/(2 ln 10) + 5 beyond ctx.digits.  A node takes one exp:
-    tanh l and 1/cosh l are rational in e^l.
+    and f_eval P/(2 ln 10) + 5 beyond ctx.digits.  The nodes are built in
+    fixed point at the geometry's wp bits: start, P, center and R become
+    integers once per integral, l = start + j P / m is reduced into
+    [-P/2, P/2) by one floor division, e^l is one raw libmp exponential, and
+    tanh l = (e^{2l} - 1)/(e^{2l} + 1) and 1/cosh l = 2 e^l/(e^{2l} + 1) are
+    integer quotients.  Fixed point is absolute: both parts of tau are off
+    by a few units of 2^-wp, which against Im tau >= R e^{-P/2} is still
+    10^-(digits + 20)/R relative, and is the error that the floating-point
+    Re tau of the same precision carries too.  Each node reaches f_eval as
+    an mpc, so every evaluation passes through traces.f_eval.
 
     The nodes of a pass run along the geodesic in order, so the integral
     keeps one f_eval hint: each reduction into the Gamma0(6)+ domain starts
@@ -127,26 +136,32 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
                            * abs(h6.c) / mp.sqrt(6))
             start = start if u >= 0 else -start
 
+        # node j / m of the period in fixed point (above)
+        wp = mp.prec
+        one = 1 << wp
+        S, P, C, Rf = (mp.to_fixed(v, wp) for v in (start, period, center, R))
         hint = [None]
 
-        def value(x):
-            ell = start + x
-            ell -= period * mp.floor(ell / period + mp.mpf(1) / 2)
-            ex = mp.exp(ell)
-            e2 = ex * ex     # tanh l = (e2 - 1)/(e2 + 1), 1/cosh l = 2 e^l/(e2 + 1)
-            tau = mp.mpc(center - R * (e2 - 1) / (e2 + 1), 2 * R * ex / (e2 + 1))
+        def value(j, m):
+            ell = S + j * P // m
+            ell -= (2 * ell + P) // (2 * P) * P
+            ex = to_fixed(mpf_exp(from_man_exp(ell, -wp), wp), wp)
+            e2 = ex * ex >> wp
+            re = C - Rf * (e2 - one) // (e2 + one)
+            im = 2 * Rf * ex // (e2 + one)
+            tau = mp.make_mpc((from_man_exp(re, -wp), from_man_exp(im, -wp)))
             return f_eval(tau, inner, hint).real
 
         nodes = 32
         h = period / nodes
         if fold == 1:
-            total = mp.fsum(value(k * h) for k in range(nodes))
-        else:       # value(k h) = value((nodes - k) h)
-            total = (value(0) + value(period / 2)
-                     + 2 * mp.fsum(value(k * h) for k in range(1, nodes // 2)))
+            total = mp.fsum(value(k, nodes) for k in range(nodes))
+        else:       # value(k, nodes) = value(nodes - k, nodes)
+            total = (value(0, 1) + value(1, 2)
+                     + 2 * mp.fsum(value(k, nodes) for k in range(1, nodes // 2)))
         prev = total * h / sq
         while nodes < 2 ** 16:
-            total += fold * mp.fsum(value((k + mp.mpf(1) / 2) * h)
+            total += fold * mp.fsum(value(2 * k + 1, 2 * nodes)
                                     for k in range(nodes // fold))
             nodes *= 2
             h = period / nodes
@@ -171,13 +186,15 @@ def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     integrated once and counted twice.  A class fixed by sigma is integrated
     over half of its period (cycle_integral).  The partner of Q is the class
     with the SL2(Z) key of sigma Q: on Q_n, Gamma0(6)- and SL2(Z)-equivalence
-    agree (bqf.enumerate_classes)."""
+    agree (bqf.enumerate_classes).  The keys of the representatives come
+    with the class set, so only the key of each sigma Q is computed here."""
     if n <= 0 or n % 24 != 1:
         raise ValueError("cycle trace needs n > 0, n = 1 mod 24")
     if is_square(n):
         raise ValueError("square index: use trace_square")
     cs = classes if classes is not None else enumerate_classes(n)
-    todo = {sl2_class_key(Q): Q for Q in sorted(cs.reps, key=BQF.as_tuple)}
+    todo = {key: Q for Q, key in sorted(zip(cs.reps, cs.keys),
+                                        key=lambda rep: rep[0].as_tuple())}
     with mp.workdps(ctx.digits + 10):
         total = mp.mpf(0)
         err = mp.mpf(0)

@@ -7,11 +7,12 @@ from mpmath import mp
 
 from maasslab import bqf
 from maasslab.bqf import (BQF, act, automorph, class_number, cm_point,
-                          enumerate_classes, gamma06_equivalent, geodesic_data,
+                          enumerate_classes, geodesic_data,
                           reduced_definite_forms, sl2_class_key,
                           square_class_reps, w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
 from maasslab.matrices import IDENTITY, atkin_lehner, projectively_equal
+from support import gamma06_equivalent
 
 CTX = PrecisionContext(digits=40)
 

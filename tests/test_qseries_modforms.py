@@ -16,6 +16,7 @@ from maasslab.modforms import (E4_eval, E6_eval, F_expansion, eta_eval,
                                hd_construct, j_eval, zminus_expansion)
 from maasslab.qseries import (QSeries, eisenstein_E4, eta_series,
                               euler_product, j_series)
+from support import reduce_plus
 
 CTX = PrecisionContext(digits=60)
 
@@ -160,11 +161,12 @@ class TestGamma0SixPlusKernel:
             ref = f_oracle(tau, ctx)
             assert abs(f_eval(tau, ctx) - ref) <= tol * max(1, abs(ref)), tau
 
-    @pytest.mark.parametrize("digits", [30, 60])
+    @pytest.mark.parametrize("digits", [30, 60, 100])
     def test_series_error_at_lowest_points(self, digits, f_oracle):
         # points of the domain at and near its lowest point 1/3 + i y_min,
-        # where the truncated series is worst: f_eval keeps 8 of its 10 guard
-        # digits against the oracle at 20 more digits
+        # where the truncated series is worst and the blocked sum's rounding
+        # is largest: f_eval keeps 8 of its 10 guard digits against the
+        # oracle at 20 more digits (without the _GUARD bits it keeps about 5)
         ctx = PrecisionContext(digits=digits)
         fine = ctx.with_digits(digits + 20)
         y_min = mp.sqrt(2) / 6
@@ -175,6 +177,37 @@ class TestGamma0SixPlusKernel:
             tau = mp.mpc(x, y)
             ref = f_oracle(tau, fine)
             assert abs(f_eval(tau, ctx) - ref) <= tol * max(1, abs(ref)), tau
+
+    def test_deep_points_at_cycle_digits(self, f_oracle):
+        # Im tau in [1e-14, 1e-6], with the lost + 5 extra digits that
+        # traces.cycle_integral passes for points that low: the reduction
+        # magnifies the input's rounding by up to 1/Im tau, which the extra
+        # digits absorb
+        digits = 30
+        rng = random.Random(14)
+        for _ in range(12):
+            k = rng.uniform(6, 14)
+            lost = math.ceil(k)
+            with mp.workdps(digits + lost + 40):
+                tau = mp.mpc(rng.uniform(-1, 1), mp.mpf(10) ** -k)
+            inner = PrecisionContext(digits=digits + lost + 5)
+            ref = f_oracle(tau, inner.with_digits(inner.digits + 20))
+            assert abs(f_eval(tau, inner) - ref) <= \
+                mp.mpf(10) ** (-digits - 5) * max(1, abs(ref)), tau
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_points_where_q_inverse_dominates(self, digits, f_oracle):
+        # at Im tau = 10, 20 and 40, |q^{-1}| = e^{2 pi y} reaches 1e109 while
+        # the series is 12 + O(e^{-2 pi y}): the relative error stays at the
+        # working precision
+        ctx = PrecisionContext(digits=digits)
+        fine = ctx.with_digits(digits + 20)
+        tol = mp.mpf(10) ** (-digits - 8)
+        for y in (10, 20, 40):
+            for x in ("0.1", "-0.37", "0.5"):
+                tau = mp.mpc(x, y)
+                ref = f_oracle(tau, fine)
+                assert abs(f_eval(tau, ctx) - ref) <= tol * abs(ref), tau
 
     def test_atkin_lehner_laws_on_oracle(self, f_oracle):
         # f|W_r = mu(r) f, the law the reduction relies on, checked on the
@@ -196,13 +229,13 @@ class TestGamma0SixPlusKernel:
                   for k in (-1, 0, 2) for s in (1 - mp.mpf("1e-9"), 1, 1 + mp.mpf("1e-9"))]
         with mp.workdps(40):
             for tau in _seeded_points(200, 3) + corner:
-                z, sign, _ = modforms._reduce_plus(mp.mpc(tau))
+                z, sign, _ = reduce_plus(tau)
                 assert z.imag >= modforms._Y_MIN * (1 - 1e-12), tau
                 assert abs(z.real) <= 0.5
         # the reduced point lies in the orbit, with the recorded sign
         for tau in _seeded_points(10, 4) + corner[:3]:
             with mp.workdps(CTX.digits + 10):
-                z, sign, _ = modforms._reduce_plus(mp.mpc(tau))
+                z, sign, _ = reduce_plus(tau)
             ref = f_oracle(tau, CTX)
             assert abs(sign * f_oracle(z, CTX) - ref) <= mp.mpf("1e-50") * max(1, abs(ref))
 

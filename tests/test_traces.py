@@ -7,7 +7,7 @@ from mpmath import mp
 
 from maasslab import modforms, traces
 from maasslab.bqf import (BQF, ClassSet, act, automorph, enumerate_classes,
-                          gamma06_equivalent, w6_reflection, w6_sigma)
+                          w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
 from maasslab.exact import trace_cm_exact
 from maasslab.matrices import GroupElement, projectively_equal
@@ -16,6 +16,7 @@ from maasslab.traces import (cycle_integral, damp_fQ, damped_ray_integral,
                              trace, trace_cm, trace_cycle, trace_square,
                              traces_to_csv, _damp_sigmas, _ray_seed,
                              _square_bookkeeping)
+from support import gamma06_equivalent, reduce_plus
 
 CTX = PrecisionContext(digits=30)
 
@@ -66,7 +67,9 @@ class TestCycleTraces:
         t1 = trace_cycle(73, ctx30)
         shift = GroupElement(1, 1, 0, 1)   # T: acts on forms, moving tau0
         cs = enumerate_classes(73)
-        shifted = ClassSet(73, tuple(act(shift, Q) for Q in cs.reps), cs.regime)
+        # T keeps SL2(Z) classes, so the shifted set has the same keys
+        shifted = ClassSet(73, tuple(act(shift, Q) for Q in cs.reps), cs.regime,
+                           cs.keys)
         assert shifted.reps != cs.reps
         t2 = trace_cycle(73, ctx30, classes=shifted)
         assert abs(t1.value - t2.value) < mp.mpf("1e-10")
@@ -254,13 +257,28 @@ class TestWarmStart:
             hint, prev = [None], None
             with mp.workdps(work):
                 for tau in taus:
-                    z, sign, g = modforms._reduce_plus(tau)
-                    wz, wsign, wg = modforms._reduce_plus(tau, prev)
+                    z, sign, g = reduce_plus(tau)
+                    wz, wsign, wg = reduce_plus(tau, prev)
                     assert wsign == sign and abs(wz - z) <= tol, (n, tau)
                     prev = (wg, wsign)
                     ref = f_eval(tau, inner)
                     assert abs(f_eval(tau, inner, hint) - ref) <= tol * max(1, abs(ref)), (n, tau)
                     assert hint[0] == prev, (n, tau)
+
+    def test_warm_chain_matches_oracle(self, f_oracle):
+        # every tenth node of the warm chain against the eta/E4 quotient at
+        # 20 more digits, which shares no step with the kernel
+        tol = mp.mpf(10) ** (-self.DIGITS - 5)
+        for n in (73, 193, 337):
+            taus, work = self._nodes(n)
+            inner = PrecisionContext(digits=work - 10)
+            hint = [None]
+            with mp.workdps(work):
+                for i, tau in enumerate(taus):
+                    value = f_eval(tau, inner, hint)
+                    if i % 10 == 0:
+                        ref = f_oracle(tau, inner.with_digits(inner.digits + 20))
+                        assert abs(value - ref) <= tol * max(1, abs(ref)), (n, tau)
 
     def test_matrix_maps_tau_to_reduced_point(self):
         tol = mp.mpf(10) ** (-self.DIGITS - 5)
@@ -270,7 +288,7 @@ class TestWarmStart:
             with mp.workdps(work):
                 for tau in taus:
                     for start in (None, prev):
-                        z, sign, g = modforms._reduce_plus(tau, start)
+                        z, sign, g = reduce_plus(tau, start)
                         a, b, c, d = g
                         assert abs((a * tau + b) / (c * tau + d) - z) <= tol, (n, tau)
                         assert _det(g) in (1, 2, 3, 6) and math.gcd(*g) == 1, g
@@ -285,11 +303,11 @@ class TestWarmStart:
                   enumerate_classes(337).reps[0]):
             (lo, hi), work = _geodesic_points(Q, self.DIGITS, (-0.98, 0.98))
             with mp.workdps(work):
-                _, sign, g = modforms._reduce_plus(lo)
+                _, sign, g = reduce_plus(lo)
                 a, b, c, d = g
                 assert ((a * hi + b) / (c * hi + d)).imag < modforms._Y_MIN / 2
-                z, csign, cg = modforms._reduce_plus(hi)
-                wz, wsign, wg = modforms._reduce_plus(hi, (g, sign))
+                z, csign, cg = reduce_plus(hi)
+                wz, wsign, wg = reduce_plus(hi, (g, sign))
                 assert (wg, wsign) == (cg, csign), Q
                 assert abs(wz - z) <= tol, Q
 
@@ -301,16 +319,16 @@ class TestWarmStart:
         for n in (73, 193, 337):
             taus, work = self._nodes(n)
             with mp.workdps(work):
-                cold = [modforms._reduce_plus(tau) for tau in taus]
+                cold = [reduce_plus(tau) for tau in taus]
                 monkeypatch.setattr(modforms, "_MAX_STEPS", 1)
                 with pytest.raises(ArithmeticError):
-                    modforms._reduce_plus(min(taus, key=lambda t: t.imag))
+                    reduce_plus(min(taus, key=lambda t: t.imag))
                 same = 0
                 for tau, (_, sign, g), (_, _, g_next) in zip(taus[1:], cold, cold[1:]):
                     if projectively_equal(GroupElement(*g, _det(g)),
                                           GroupElement(*g_next, _det(g_next))):
                         same += 1
-                        assert modforms._reduce_plus(tau, (g, sign))[1:] == (sign, g), n
+                        assert reduce_plus(tau, (g, sign))[1:] == (sign, g), n
                 monkeypatch.undo()
             assert same >= 100, n
 
