@@ -15,10 +15,12 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
-from mpmath.libmp import from_man_exp, mpf_exp, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_exp, to_fixed
 
 from .bqf import (BQF, ClassSet, automorph, cm_point, enumerate_classes,
                   geodesic_data, sl2_class_key, w6_reflection, w6_sigma)
@@ -214,18 +216,19 @@ def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
 # ---------------------------------------------------------------------------
 
 # one rule for the whole module: GaussLegendre caches its nodes by degree and
-# precision, so panels at a repeated (degree, precision) reuse them
+# precision, and _gl_rows caches them in fixed point
 _GL_RULE = GaussLegendre(mp)
-_GL_TAIL = {}      # (degree, prec) -> _gl_tail_rows
+_GL_ROWS = {}      # (degree, prec) -> _gl_rows
 
 
-def _gl_tail_rows(degree: int, prec: int):
-    """For each node x_i, weight w_i of the reference rule on [-1, 1] (n
-    nodes): w_i (2k+1)/2 P_k(x_i) for k = n-2 and n-1, so that the sums of
-    these rows against samples f(x_i) are the last two Legendre coefficients
-    of the polynomial interpolating f at the nodes."""
+def _gl_rows(degree: int, prec: int):
+    """The reference rule on [-1, 1] (n = 3 * 2^(degree-1) nodes) as four
+    columns of prec-bit fixed-point integers: the nodes x_i, the weights
+    w_i, and w_i (2k+1)/2 P_k(x_i) for k = n-2 and n-1, so that the sums of
+    the last two columns against samples f(x_i) are the last two Legendre
+    coefficients of the polynomial interpolating f at the nodes."""
     key = (degree, prec)
-    if key not in _GL_TAIL:
+    if key not in _GL_ROWS:
         ref = _GL_RULE.get_nodes(-1, 1, degree, prec)
         n = len(ref)
         rows = []
@@ -234,30 +237,39 @@ def _gl_tail_rows(degree: int, prec: int):
                 p0, p1 = mp.mpf(1), x
                 for j in range(1, n - 1):        # ends with P_{n-2}, P_{n-1}
                     p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-                rows.append((w * (2 * n - 3) / 2 * p0, w * (2 * n - 1) / 2 * p1))
-        _GL_TAIL[key] = rows
-    return _GL_TAIL[key]
+                rows.append((x, w, w * (2 * n - 3) / 2 * p0, w * (2 * n - 1) / 2 * p1))
+        _GL_ROWS[key] = [[mp.to_fixed(v, prec) for v in col] for col in zip(*rows)]
+    return _GL_ROWS[key]
 
 
 def _gl_panel(fun, a, b, degree: int):
     """(value, error estimate) of the Gauss-Legendre rule of the given degree
-    (n = 3 * 2^(degree-1) nodes) for fun over [a, b] (b may be below a).
+    (n = 3 * 2^(degree-1) nodes) for fun over [a, b] (b may be below a), in
+    fixed point at wp = mp.prec bits: a and b are integers standing for
+    a / 2^wp and b / 2^wp, fun maps such an integer node to its sample at
+    the same scale, and the value and estimate are returned as mpfs.
 
     With fun mapped to [-1, 1] as sum_k a_k P_k, the rule is exact through
     degree 2n-1, so its error is at most |b - a| sum_{k >= 2n} |a_k|.  While
     the coefficients decay, that is far below the last ones the samples
-    give, |a_{n-2}| + |a_{n-1}| of the interpolant (_gl_tail_rows), and
-    |b - a| times their sum is the estimate: it costs no sample beyond the
-    rule's own n."""
-    total = mp.mpf(0)
-    c0 = c1 = mp.mpf(0)
-    tail = _gl_tail_rows(degree, mp.prec)
-    for (x, w), (t0, t1) in zip(_GL_RULE.get_nodes(a, b, degree, mp.prec), tail):
-        fx = fun(x)
-        total += w * fx
-        c0 += t0 * fx
-        c1 += t1 * fx
-    return total, abs(b - a) * (abs(c0) + abs(c1))
+    give, |a_{n-2}| + |a_{n-1}| of the interpolant (_gl_rows), and |b - a|
+    times their sum is the estimate: it costs no sample beyond the rule's
+    own n.
+
+    Fixed point.  The columns are below a unit u = 2^-wp off the rule's,
+    each node below 1 + |b - a|/2 units, and the value and both tail sums
+    are exact integer dot products, converted to mpf once.  With samples of
+    size at most M that are off by at most e units (their own rounding, and
+    their slope times the node's offset), the value is off by at most
+    |b - a| (e + n M / 2) u beyond the rule's own error and its one
+    rounding."""
+    wp = mp.prec
+    xs, ws, t0s, t1s = _gl_rows(degree, wp)
+    mid, span = (a + b) << wp, b - a
+    fs = [fun((mid + span * x) >> (wp + 1)) for x in xs]
+    total = sum(map(mul, ws, fs))
+    tail = abs(sum(map(mul, t0s, fs))) + abs(sum(map(mul, t1s, fs)))
+    return mp.ldexp(span * total, -3 * wp - 1), mp.ldexp(abs(span) * tail, -3 * wp)
 
 
 def _damp_sigmas(Q: BQF):
@@ -269,6 +281,12 @@ def _damp_sigmas(Q: BQF):
         sigma = g @ atkin_lehner(r)
         out.append((MU[r], sigma))
     return out
+
+
+# top of the Gauss-Legendre panels of a damped ray, analytic tails above
+_Y1 = 4
+# bits of a damped ray's fixed point beyond its digits (_ray_prec)
+_RAY_GUARD_BITS = 16
 
 
 def _damp_guard_digits(y) -> int:
@@ -315,76 +333,119 @@ def _ray_seed(sigma: GroupElement, x0, cusp: Fraction):
             mp.mpf(sigma.scale) / sigma.c ** 2, False)
 
 
+@lru_cache(maxsize=8)
+def _e1_row(Y, dps: int):
+    """E1(2 pi m Y) for m = 1 .. nmax at dps digits, nmax enough for the
+    E1 series to reach 10^-dps.  They do not depend on the ray."""
+    with mp.workdps(dps):
+        two_pi = 2 * mp.pi
+        nmax = max(3, int((dps * mp.log(10)) / (two_pi * Y)) + 3)
+        return tuple(mp.e1(two_pi * m * Y) for m in range(1, nmax + 1))
+
+
 def _fmin_series_tail(x0, Y, ctx: PrecisionContext):
     """int_Y^oo [f - 12 - (e(-tau) - e(-conj tau))] dy/y on the ray x = x0,
     term by term: e(-conj tau) + sum c_f(n) e(n tau) integrates to
-    exponential integrals E1(2 pi n Y)."""
-    two_pi = 2 * mp.pi
-    total = mp.expjpi(-2 * x0) * mp.e1(two_pi * Y)
-    nmax = max(3, int((mp.dps * mp.log(10)) / (two_pi * Y)) + 3)
-    fq = f_qexp(max(40, nmax + 2))
-    for m in range(1, nmax + 1):
-        c = fq.coeff(m)
-        if c:
-            total += c * mp.expjpi(2 * m * x0) * mp.e1(two_pi * m * Y)
-    return total
+    exponential integrals E1(2 pi n Y), shared by all rays (_e1_row).  At
+    ctx.digits + 10 digits: for Y >= 4 the sum is below 1e-10 (its first
+    term 77 E1(8 pi) is 3.7e-11), so its rounding stays below
+    10^-(digits + 20)."""
+    with mp.workdps(ctx.digits + 10):
+        e1 = _e1_row(Y, mp.dps)
+        fq = f_qexp(max(40, len(e1) + 2))
+        total = mp.expjpi(-2 * x0) * e1[0]
+        for m, e in enumerate(e1, 1):
+            c = fq.coeff(m)
+            if c:
+                total += c * mp.expjpi(2 * m * x0) * e
+        return +total
 
 
-def damped_ray_integral(Q: BQF, x0, y0, ctx: PrecisionContext = DEFAULT_CTX,
-                        Y1=None):
+def _ray_prec(ctx: PrecisionContext) -> int:
+    """Bits wp of the damped rays' fixed point and of their sum in
+    trace_square: the integrand's ctx.digits + 10 + _damp_guard_digits(_Y1)
+    digits, plus _RAY_GUARD_BITS for the rounding of the panel sums."""
+    return dps_to_prec(ctx.digits + 10 + _damp_guard_digits(_Y1)) + _RAY_GUARD_BITS
+
+
+def damped_ray_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
     """int_{y0}^oo f_Q(x0 + i y) dy/y for a square-discriminant form
-    Q = (0, b, c) whose cusps are oo and x0 = -c/b, with its error estimate:
-    Gauss-Legendre panels of 48 nodes (degree 5) between the break points
-    y0, 2 y0, 1/2, 1, 2 that lie below Y1, in increasing order, analytic
-    tails beyond.  The estimate is the sum of the panels' own (_gl_panel),
-    read from the last two Legendre coefficients of each panel's 48 samples.
+    Q = (0, b, c), b > 0, whose cusps are oo and x0 = -c/b, from the ray's
+    lowest point y0 = 1/(b sqrt 6), with its error estimate: Gauss-Legendre
+    panels of 48 nodes (degree 5) between the break points y0, 2 y0, 1/2, 1,
+    2 that lie below _Y1, in increasing order, analytic tails beyond.  The
+    estimate is the sum of the panels' own (_gl_panel), read from the last
+    two Legendre coefficients of each panel's 48 samples.
 
     On the ray both subtracted seeds are a constant phase times a real sinh
     (_ray_seed), so a node costs one f_eval and two real exponentials, and
-    the tail of the cusp-x0 seed is phase * 2 Shi(2 pi kappa / Y1).  The
-    phases and kappa carry the integrand's guard digits: each seed is
-    subtracted from f where both are of size e^{2 pi y}.  The nodes of the
-    ray share one f_eval hint, so a node reduced by the same matrix as the
-    last one takes no reduction step."""
-    if Q.a != 0 or Q.b == 0:
-        raise ValueError("damped ray needs a form (0, b, c) with b != 0")
-    cusp = Fraction(-Q.c, Q.b)
-    Y1 = 4 if Y1 is None else Y1
-    guard = _damp_guard_digits(Y1)
-    inner = PrecisionContext(digits=ctx.digits + guard)
-    with mp.workdps(ctx.digits + 10):
-        x0 = mp.mpf(x0)
-        y0 = mp.mpf(y0)
-        Y1 = mp.mpf(Y1)
-        with mp.extradps(guard):
-            seeds = []
-            for mu, sigma in _damp_sigmas(Q):
-                phase, kappa, at_oo = _ray_seed(sigma, x0, cusp)
-                seeds.append((2 * mu * phase.real, 2 * mp.pi * kappa, at_oo))
+    the tail of the cusp-x0 seed is phase * 2 Shi(2 pi kappa / _Y1).  The
+    nodes of the ray share one f_eval hint, so a node reduced by the same
+    matrix as the last one takes no reduction step.
 
+    Fixed point.  Everything but the E1 series runs at wp bits (_ray_prec):
+    the integrand's ctx.digits + 10 + guard digits, the guard absorbing the
+    e^{2 pi y} cancellation between f and the seeds, plus _RAY_GUARD_BITS.
+    x0, y0, the break points, the nodes and both seeds (2 mu Re(phase) and
+    k = 2 pi kappa) are built from Q at wp; y and the samples are integers
+    at scale 2^wp.  Each node passes the exact point x0 + i y to f_eval;
+    each seed sinh is (E - 1/E)/2 in integers, with E one raw exponential
+    of k y or k / y at wp, and the division by y is one floor.  f and the
+    seeds, both of size up to e^{2 pi y}, are rounded at the integrand's
+    digits, so a sample is off by about e^{2 pi y} 10^-(digits + 10 + guard),
+    which the guard keeps below 10^-(digits + 19) for y <= _Y1.  The panel sums add at
+    most |b - a| (e + n M / 2) units of 2^-wp (_gl_panel).  |b - a| M is
+    below 2000 on every panel for b <= 11 (M grows with b near y0), so with
+    n = 48 the sums add below 2^16 units, which _RAY_GUARD_BITS covers.
+
+    x0 and y0 come from Q inside the ray, and the sums stay at wp, because
+    rounding at ctx.digits + 10 digits would cost more than the rule's own
+    error for the first squares: a ray value near 31 has a unit in the last
+    place of a few 1e-35 at 35 digits, while Tr_1 and Tr_25 from these
+    rules at 25 digits are within 1e-40 of 50-digit tanh-sinh values.  The
+    E1 series tail is below 1e-10, so it needs only ctx.digits + 10 digits
+    (_fmin_series_tail).  The value is returned at wp."""
+    if Q.a != 0 or Q.b <= 0:
+        raise ValueError("damped ray needs a form (0, b, c) with b > 0")
+    cusp = Fraction(-Q.c, Q.b)
+    inner = PrecisionContext(digits=ctx.digits + _damp_guard_digits(_Y1))
+    wp = _ray_prec(ctx)
+    one = 1 << wp
+    with mp.workprec(wp):
+        x0 = mp.mpf(cusp.numerator) / cusp.denominator
+        y0 = 1 / (Q.b * mp.sqrt(6))
+        seeds = []
+        for mu, sigma in _damp_sigmas(Q):
+            phase, kappa, at_oo = _ray_seed(sigma, x0, cusp)
+            seeds.append((2 * mu * phase.real, 2 * mp.pi * kappa, at_oo))
+        fixed = [(mp.to_fixed(c, wp), mp.to_fixed(k, wp), at_oo)
+                 for c, k, at_oo in seeds]
+        re = x0._mpf_
         hint = [None]
 
         def integrand(y):
-            with mp.extradps(guard):
-                val = f_eval(mp.mpc(x0, y), inner, hint).real - 12
-                for coeff, k, at_oo in seeds:
-                    val -= coeff * mp.sinh(k * y if at_oo else k / y)
-            return val / y
+            tau = mp.make_mpc((re, from_man_exp(y, -wp)))
+            val = to_fixed(f_eval(tau, inner, hint)._mpc_[0], wp) - 12 * one
+            for coeff, k, at_oo in fixed:
+                arg = k * y >> wp if at_oo else (k << wp) // y
+                e = to_fixed(mpf_exp(from_man_exp(arg, -wp), wp), wp)
+                val -= coeff * ((e - (one << wp) // e) >> 1) >> wp
+            return (val << wp) // y
 
-        pts = sorted(p for p in (2 * y0, mp.mpf(1) / 2, 1, 2) if y0 < p < Y1)
-        pts = [y0, *pts, Y1]
-        head = mp.mpf(0)
-        head_err = mp.mpf(0)
+        low, top = mp.to_fixed(y0, wp), _Y1 * one
+        pts = sorted(p for p in (2 * low, one >> 1, one, 2 * one) if low < p < top)
+        pts = [low, *pts, top]
+        head = head_err = mp.zero
         for a, b in zip(pts, pts[1:]):
             val, err = _gl_panel(integrand, a, b, 5)
             head += val
             head_err += err
 
-        tail = _fmin_series_tail(x0, Y1, ctx).real
+        tail = _fmin_series_tail(x0, _Y1, ctx).real
         for coeff, k, at_oo in seeds:
             if not at_oo:    # the cusp-x0 seed decays like 1/y
-                tail -= coeff * mp.shi(k / Y1)
-        return +(head + tail), +head_err
+                tail -= coeff * mp.shi(k / _Y1)
+        return head + tail, head_err
 
 
 def _square_bookkeeping(b: int, c: int):
@@ -423,13 +484,18 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     to rounding.  The ray cache therefore reuses (b', b' - c) when that key
     is present, which leaves 3 of the 5 rays of n = 25 to integrate.  Only
     this exact pair is folded: x0 is not reduced mod 1, so the rays that
-    u_offset shifts by integers are still integrated."""
+    u_offset shifts by integers are still integrated.
+
+    The rays are summed at their own precision wp (_ray_prec), and the
+    TraceValue carries that precision: rounded to ctx.digits + 10 digits,
+    the result would carry the rounding of its largest ray values, a few
+    1e-35 at 25 digits, while Tr_1, Tr_25 and Tr_49 at 25 digits agree with
+    their 40-digit values to 1e-46 (damped_ray_integral)."""
     if n <= 0 or n % 24 != 1 or not is_square(n):
         raise ValueError("square trace needs a positive square n = 1 mod 24")
     b = math.isqrt(n)
     chi = chi12_sqrt(n)
-    with mp.workdps(ctx.digits + 10):
-        sqrt6 = mp.sqrt(6)
+    with mp.workprec(_ray_prec(ctx)):
         rays = {}      # the same form is the same integral: each once per call
 
         def ray(bp: int, c: int):
@@ -437,8 +503,8 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
             of its mirror (0, bp, bp - c) if that one is already integrated."""
             if (bp, c) not in rays:
                 mirror = rays.get((bp, bp - c))
-                rays[bp, c] = mirror if mirror is not None else damped_ray_integral(
-                    BQF(0, bp, c), mp.mpf(-c) / bp, 1 / (bp * sqrt6), ctx)
+                rays[bp, c] = (mirror if mirror is not None
+                               else damped_ray_integral(BQF(0, bp, c), ctx))
             return rays[bp, c]
 
         total = mp.mpf(0)

@@ -485,14 +485,50 @@ class TestMirrorRays:
         ctx = PrecisionContext(digits=25)
         for b in (5, 7, 11):
             for c in range(1, (b + 1) // 2):
-                out = []
-                with mp.workdps(ctx.digits + 10):    # as inside trace_square
-                    for cc in (c, b - c):
-                        out.append(damped_ray_integral(
-                            BQF(0, b, cc), mp.mpf(-cc) / b, 1 / (b * mp.sqrt(6)), ctx))
-                (v1, e1), (v2, e2) = out
+                (v1, e1), (v2, e2) = (damped_ray_integral(BQF(0, b, cc), ctx)
+                                      for cc in (c, b - c))
                 assert abs(v1 - v2) <= e1 + e2, (b, c)
                 assert abs(v1 - v2) <= mp.mpf("1e-30"), (b, c)
+
+
+class TestFixedPointRays:
+    """The damped rays run in fixed point at the integrand's precision."""
+
+    def test_integrand_matches_damp_fQ(self, monkeypatch):
+        # every node of the five panels of two rays, against the pointwise
+        # oracle damp_fQ(x0 + i y, Q) / y
+        ctx = PrecisionContext(digits=25)
+        panel = traces._gl_panel
+        samples = []
+
+        def recorded(fun, a, b, degree):
+            def sample(y):
+                v = fun(y)
+                samples.append((mp.prec, y, v))
+                return v
+            return panel(sample, a, b, degree)
+
+        monkeypatch.setattr(traces, "_gl_panel", recorded)
+        tol = mp.mpf(10) ** -(ctx.digits + 10)
+        for form in ((0, 1, 0), (0, 5, 2)):
+            Q = BQF(*form)
+            samples.clear()
+            damped_ray_integral(Q, ctx)
+            assert len(samples) == 5 * 48, form
+            for wp, y, v in samples:
+                with mp.workprec(wp):
+                    y = mp.ldexp(y, -wp)
+                    ref = damp_fQ(mp.mpc(mp.mpf(-Q.c) / Q.b, y), Q, ctx).real / y
+                    assert abs(mp.ldexp(v, -wp) - ref) <= tol * max(1, abs(ref)), \
+                        (form, y)
+
+    def test_digits_beyond_the_rounding(self):
+        # the rays and their sum keep the integrand's precision, so traces
+        # at 25 digits match those at 40 far below 10^-35
+        for n in (1, 25, 49):
+            lo = trace_square(n, PrecisionContext(digits=25))
+            hi = trace_square(n, PrecisionContext(digits=40))
+            assert abs(lo.value - hi.value) <= mp.mpf("1e-38"), n
 
 
 class TestSquarePanels:
