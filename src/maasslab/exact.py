@@ -264,6 +264,103 @@ def kloosterman_K_eta(m: int, n: int, c: int,
                       for d in _units(c)), 12 * c, ctx)
 
 
+_SCAN_BLOCK = 32     # moduli (or primes) per numpy block of the hit scan
+
+
+def _prime_power_sieve(n: int):
+    """(primes, pp) for 0..n: the primes up to n, and pp[k] the power of the
+    smallest prime factor of k that exactly divides k (pp[1] = 1)."""
+    pp = np.zeros(n + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n) + 1):
+        if pp[p] == 0:
+            multiples = pp[p * p::p]
+            multiples[multiples == 0] = p
+    unset = np.flatnonzero(pp == 0)
+    pp[unset] = unset
+    primes = unset[2:]
+    spf = pp.copy()
+    for p in primes[primes * primes <= n].tolist():
+        q = p * p
+        while q <= n:
+            multiples = pp[q::q]
+            multiples[spf[q::q] == p] = q
+            q *= p
+    return primes, pp
+
+
+def _pair_order(pair: np.ndarray, pairs: int, hit: np.ndarray, hits: int) -> np.ndarray:
+    """The order that sorts the entries by (pair, hit), with 0 <= pair < pairs
+    and 0 <= hit < hits: stable radix passes over 16-bit digits, the low
+    digits of hit first (uint16 keys take numpy's linear radix sort)."""
+    order = np.arange(hit.size)
+    for key, bound in ((hit, hits), (pair, pairs)):
+        for shift in range(0, (bound - 1).bit_length(), 16):
+            digit = (key[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
+def _hit_roots(c_max: int, ms: tuple, primes: np.ndarray):
+    """The roots l mod q of 3l^2 + l + 2m for every m in ms and every prime
+    power q that divides some 2c with c <= c_max.
+
+    Returns (row, start, roots): the roots of q for ms[j] are
+    roots[start[i]:start[i + 1]] with i = row[q] * len(ms) + j; row 0 is
+    q = 1, whose one root is 0.  A prime p >= 5 takes its roots from one
+    table of squares mod p, since (6l + 1)^2 = 1 - 24m there, _SCAN_BLOCK
+    primes at a time.  p^k is lifted from the roots mod p^(k-1), trying
+    each r + t p^(k-1) with t < p (every root mod p^k reduces to one mod
+    p^(k-1), also when p | 1 - 24m); the lift from q = 1 searches mod 2
+    and mod 3."""
+    M = len(ms)
+    m2 = 2 * np.array(ms, dtype=np.int64)
+    ends, roots = [np.arange(M + 1)], [np.zeros(M, dtype=np.int64)]
+    row = np.zeros(2 * c_max + 1, dtype=np.int64)
+    seeds = {}      # (m index, root) mod p for the p >= 5 lifted below
+    big = primes[primes >= 5]
+    # one buffer each for the tables of squares, so that no prime allocates
+    half = np.arange((int(big[-1]) + 1) // 2 if big.size else 0, dtype=np.int64)
+    square, sqrt = half * half, np.empty(3 * half.size, dtype=np.int64)
+    for first in range(0, big.size, _SCAN_BLOCK):
+        p = big[first:first + _SCAN_BLOCK, None]
+        x = np.empty((p.size, M), dtype=np.int64)
+        for i, q in enumerate(p.ravel().tolist()):
+            k = (q + 1) // 2
+            sqrt[:q] = -1
+            np.remainder(square[:k], q, out=sqrt[q:q + k])
+            sqrt[sqrt[q:q + k]] = half[:k]
+            x[i] = sqrt[(1 - 12 * m2) % q]
+        # l = (x - 1)/6 and (-x - 1)/6; the second is a new root iff x > 0
+        inv6 = np.where(p % 6 == 1, 5 * p + 1, p + 1) // 6     # 6 inv6 = 1 mod p
+        both = np.concatenate([((x - 1) * inv6 % p)[..., None],
+                               ((p - x - 1) * inv6 % p)[..., None]], axis=-1)
+        slots = np.concatenate([(x >= 0)[..., None], (x > 0)[..., None]], axis=-1)
+        at = np.flatnonzero(slots)
+        ends.append(ends[-1][-1] + np.cumsum(np.bincount(at // 2, minlength=x.size)))
+        roots.append(both.ravel()[at])
+        row[p] = 1 + first + np.arange(p.size)[:, None]
+        for i in np.flatnonzero(p * p <= c_max).tolist():
+            seeds[int(p[i, 0])] = np.nonzero(slots[i])[0], both[i][slots[i]]
+    del half, square, sqrt      # before the concatenations below
+    rows = 1 + big.size
+    for p in (p for p in primes.tolist() if p < 5 or p * p <= c_max):
+        if p < 5:
+            q, mi, r = 1, np.arange(M), np.zeros(M, dtype=np.int64)
+        else:
+            q, (mi, r) = p, seeds[p]
+        while q * p <= (2 * c_max if p == 2 else c_max):
+            cand = (r[:, None] + q * np.arange(p)).ravel()
+            mi = np.repeat(mi, p)
+            q *= p
+            keep = ((3 * cand + 1) * cand + m2[mi]) % q == 0
+            mi, r = mi[keep], cand[keep]
+            row[q], rows = rows, rows + 1
+            ends.append(ends[-1][-1] + np.cumsum(np.bincount(mi, minlength=M)))
+            roots.append(r)
+    start, ends = np.concatenate(ends), None    # drop the pieces first
+    return row, start, np.concatenate(roots)
+
+
 @lru_cache(maxsize=8)
 def kloosterman_table(c_max: int, ms: tuple) -> dict:
     """Vectorized scan of A_c(m) for 1 <= c <= c_max and every m in ms.
@@ -274,37 +371,82 @@ def kloosterman_table(c_max: int, ms: tuple) -> dict:
         A_c(m) = sqrt(c/3) sum_{l mod 2c, P(l) = -m (c)}
                  (-1)^l cos((6l+1) pi / 6c),   P(l) = l(3l+1)/2.
 
-    For each c one integer pass reduces P(l) mod c for all l < 2c and marks
-    the l whose residue is a wanted -m mod c; cosines are taken only at
-    those hits, about 2^omega(c) per m.  The hit terms are the same float64
-    values, summed per residue in the same increasing-l order, as a sum over
-    every residue would give, so each A_c(m) is bit-identical to that scan
-    (kept in the tests as the oracle) and the output is deterministic."""
+    Hits as roots.  l(3l+1) is even, so P(l) + m = (3l^2 + l + 2m)/2 and l
+    is a hit iff 2c | 3l^2 + l + 2m: the hits are the roots of that
+    quadratic mod 2c.  By the Chinese remainder theorem they are the
+    l = sum_q r_q e_q mod 2c over the prime powers q || 2c, one root r_q
+    mod q for each q, where e_q = 1 mod q and e_q = 0 mod 2c/q: e_q is
+    2c/q times one inverse of 2c/q mod q, taken while factoring c with a
+    sieve of smallest-prime powers.  Mod a prime p >= 5,
+    12(3l^2 + l + 2m) = (6l + 1)^2 - (1 - 24m), so the roots are
+    l = (x - 1)/6 with x^2 = 1 - 24m mod p: two, one (p | 1 - 24m) or
+    none, read from one table of squares mod p that serves every m.
+    Powers of 2 and 3, and p^k with k >= 2, are lifted one power at a time
+    by trying the p lifts of each root, which also covers p | 1 - 24m
+    (_hit_roots).  No residue pass is made: for blocks of _SCAN_BLOCK
+    moduli every (c, m) pair is expanded over the roots of its prime powers
+    in turn (numpy repeat and gather), and cosines are taken at the hits
+    only, about 2^omega(c) per m.
+
+    Bit-identical.  The terms are the same float64 values as in a sum over
+    every residue, (-1)^l cos(pi (6l+1) / 6c) with the same operations in
+    the same order.  The hits of each (c, m) are put in increasing l
+    (stable radix passes, _pair_order), and np.bincount adds its weights
+    one after the other from 0.0, so each column sum adds the same numbers
+    in the same order as the all-residue scan (kept in the tests as the
+    oracle), and the product with sqrt(c/3) is the same.  The output is
+    deterministic."""
+    if c_max < 1:
+        raise ValueError("c_max must be at least 1")
     ms = tuple(ms)
+    M = len(ms)
     out = {m: np.zeros(c_max + 1) for m in ms}
     for m in ms:
         out[m][1] = 1.0  # exact; the formula gives 1 + 2^-52 in float64
-    ls = np.arange(2 * c_max, dtype=np.int64)
-    pent = ls * (3 * ls + 1) // 2
-    wanted = np.zeros(c_max, dtype=bool)
-    for c in range(2, c_max + 1):
-        res = pent[:2 * c] % c
-        want = [(-m) % c for m in ms]
-        wanted[want] = True
-        hit = np.flatnonzero(wanted[res])
-        wanted[want] = False
-        terms = np.cos(np.pi * (6 * hit + 1) / (6 * c))
+    primes, pp = _prime_power_sieve(c_max)
+    row, start, roots = _hit_roots(c_max, ms, primes)
+    for c0 in range(2, c_max + 1, _SCAN_BLOCK):
+        cs = np.arange(c0, min(c0 + _SCAN_BLOCK, c_max + 1), dtype=np.int64)
+        mod = 2 * cs
+        # the prime powers q || 2c; the power of 2, which has two roots for
+        # every m, comes last, so that pairs without hits drop out first
+        low = np.where(cs % 2 == 0, pp[cs], 1)
+        rest, levels = cs // low, []
+        while np.count_nonzero(rest > 1):
+            levels.append(pp[rest])
+            rest //= levels[-1]
+        # every (c, m) pair, expanded over the roots of each q in turn
+        ci, mi = np.divmod(np.arange(cs.size * M), M)
+        hit = np.zeros(ci.size, dtype=np.int64)
+        for q in levels + [2 * low]:
+            cof = mod // q
+            e = cof * np.array([pow(a, -1, b) for a, b in
+                                zip((cof % q).tolist(), q.tolist())], dtype=np.int64)
+            f = row[q][ci] * M + mi
+            k = start[f + 1] - start[f]
+            # the roots of each entry: start[f] + t for t < k
+            at = np.repeat(start[f + 1] - np.cumsum(k), k)
+            at += np.arange(at.size)
+            ci, mi, hit = np.repeat(ci, k), np.repeat(mi, k), np.repeat(hit, k)
+            hit += roots[at] * e[ci]
+        hit %= mod[ci]
+        pair = ci * M + mi
+        order = _pair_order(pair, cs.size * M, hit, 2 * c_max)
+        pair, ci, hit = pair[order], ci[order], hit[order]
+        terms = np.cos(np.pi * (6 * hit + 1) / (6 * cs[ci]))
         terms[hit % 2 == 1] *= -1.0
-        sums = np.bincount(res[hit], weights=terms, minlength=c)
-        scale = math.sqrt(c / 3)
-        for m, w in zip(ms, want):
-            out[m][c] = scale * sums[w]
+        sums = np.bincount(pair, weights=terms, minlength=cs.size * M)
+        scale = np.sqrt(cs / 3)
+        for j, m in enumerate(ms):
+            out[m][c0:c0 + cs.size] = scale * sums[j::M]
     return out
 
 
 def lehmer_ratios(c_max: int, ms: tuple, table: dict | None = None) -> np.ndarray:
-    """max_m |A_c(m)| / (2^{omega0(c)} sqrt(c)) for each c (index = c)."""
-    if table is None:
+    """max_m |A_c(m)| / (2^{omega0(c)} sqrt(c)) for each c (index = c).
+
+    A table that lacks some m, or stops below c_max, is replaced by a scan."""
+    if table is None or any(m not in table or len(table[m]) <= c_max for m in ms):
         table = kloosterman_table(c_max, tuple(ms))
     bound = np.array([1.0] + [2.0 ** omega0(c) * math.sqrt(c)
                               for c in range(1, c_max + 1)])

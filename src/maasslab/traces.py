@@ -448,6 +448,14 @@ def damped_ray_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
         return head + tail, head_err
 
 
+@lru_cache(maxsize=256)
+def _ray_value(b: int, c: int, digits: int):
+    """damped_ray_integral of (0, b, c) at ctx.digits = digits, kept across
+    trace_square calls: c = 0 gives the ray of (0, 1, 0) for every square,
+    and a ray depends only on its form and the digits (not on c_max)."""
+    return damped_ray_integral(BQF(0, b, c), PrecisionContext(digits=digits))
+
+
 def _square_bookkeeping(b: int, c: int):
     """(g, b', c', u, v) with gamma_c = [[u, -c'], [6v, b']] in Gamma0(6)."""
     g = math.gcd(b, c) if c else b
@@ -481,10 +489,13 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     taken (two differ by an integer translation on the left).  So the
     dampened integrand of the mirror ray is the conjugate of the first at
     every node, and the real parts, which are all the trace takes, agree up
-    to rounding.  The ray cache therefore reuses (b', b' - c) when that key
-    is present, which leaves 3 of the 5 rays of n = 25 to integrate.  Only
+    to rounding.  A call therefore reuses (b', b' - c) when it has already
+    used that key, which leaves 3 of the 5 rays of n = 25 to integrate.  Only
     this exact pair is folded: x0 is not reduced mod 1, so the rays that
-    u_offset shifts by integers are still integrated.
+    u_offset shifts by integers are still integrated.  Integrated rays are
+    kept across calls by form and digits (_ray_value), so the ray of
+    (0, 1, 0), which every square uses, is integrated once; which rays a
+    call folds does not depend on that cache, so neither does its value.
 
     The rays are summed at their own precision wp (_ray_prec), and the
     TraceValue carries that precision: rounded to ctx.digits + 10 digits,
@@ -496,15 +507,15 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     b = math.isqrt(n)
     chi = chi12_sqrt(n)
     with mp.workprec(_ray_prec(ctx)):
-        rays = {}      # the same form is the same integral: each once per call
+        rays = {}      # the rays this call has used, for its mirror folding
 
         def ray(bp: int, c: int):
             """The damped ray of (0, bp, c), over its cusp x0 = -c/bp, or that
-            of its mirror (0, bp, bp - c) if that one is already integrated."""
+            of its mirror (0, bp, bp - c) if this call already used that one."""
             if (bp, c) not in rays:
                 mirror = rays.get((bp, bp - c))
                 rays[bp, c] = (mirror if mirror is not None
-                               else damped_ray_integral(BQF(0, bp, c), ctx))
+                               else _ray_value(bp, c, ctx.digits))
             return rays[bp, c]
 
         total = mp.mpf(0)

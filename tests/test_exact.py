@@ -156,6 +156,28 @@ class TestKloosterman:
             for m in ms:
                 assert np.array_equal(table[m], oracle[m]), (c_max, m)
 
+    def test_scan_matches_all_residue_scan_when_p_divides_n(self):
+        # n = 1 - 24m = 1225 = 5^2 7^2 and 625 = 5^4 give moduli divisible by
+        # p^2 with p | n; m = +-1000 exceed every small modulus
+        ms = (-51, -26, 1000, -1000)
+        table, oracle = kloosterman_table(1500, ms), _all_residue_scan(1500, ms)
+        for m in ms:
+            assert np.array_equal(table[m], oracle[m]), m
+
+    def test_table_rejects_c_max_below_one(self):
+        for c_max in (0, -3):
+            with pytest.raises(ValueError):
+                kloosterman_table(c_max, (0, 1))
+
+    def test_lehmer_ratios_rescan_a_short_table(self):
+        ms = (0, 1, -1)
+        short = kloosterman_table(100, ms)
+        ratios = lehmer_ratios(300, ms, short)
+        assert len(ratios) == 301
+        assert np.array_equal(ratios, lehmer_ratios(300, ms))
+        assert np.array_equal(lehmer_ratios(300, ms + (2,), short),
+                              lehmer_ratios(300, ms + (2,)))
+
     def test_full_table_matches_all_residue_scan(self, ktable):
         ms = tuple(ktable)
         oracle = _all_residue_scan(len(ktable[ms[0]]) - 1, ms)
@@ -191,6 +213,16 @@ class TestKloosterman:
                 exact = kloosterman_A(c, m, CTX)
                 assert abs(exact.imag) < mp.mpf("1e-30")
                 assert abs(ktable[m][c] - float(exact.real)) < 1e-11
+
+    def test_scan_matches_exact_when_p_divides_n(self, ktable):
+        # moduli divisible by p^2 with p | 1 - 24m: n = 25, 49 and 121
+        cases = {-1: (25, 50, 75, 125, 625, 3125), -2: (49, 98, 343, 2401),
+                 -5: (11, 121, 242, 1331)}
+        for m, cs in cases.items():
+            for c in cs:
+                exact = kloosterman_A(c, m, CTX)
+                assert abs(exact.imag) < mp.mpf("1e-30")
+                assert abs(ktable[m][c] - float(exact.real)) < 1e-11, (m, c)
 
 
 class TestPartialSumS:

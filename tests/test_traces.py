@@ -459,6 +459,7 @@ class TestSquareTraces:
             return integrate(Q, *args, **kwargs)
 
         monkeypatch.setattr(traces, "damped_ray_integral", counted)
+        traces._ray_value.cache_clear()
         b = trace_square(25, ctx, u_offset=1)
         assert abs(a.value - b.value) <= a.err_est + b.err_est
         # (0,1,0), (0,5,1), (0,5,2) and the shifted (0,5,9), (0,5,7), (0,5,8),
@@ -548,6 +549,7 @@ class TestSquarePanels:
         monkeypatch.setattr(traces, "_gl_panel", checked)
         for n, panels in ((1, 5), (25, 15), (49, 20)):
             seen.clear()
+            traces._ray_value.cache_clear()
             trace_square(n, PrecisionContext(digits=25))
             assert len(seen) == panels, n
             for a, b, diff, est in seen:
@@ -556,5 +558,20 @@ class TestSquarePanels:
     def test_evaluations_per_trace(self, count_f_evals):
         # the rays of (0,1,0), (0,5,1) and (0,5,2), the last two standing
         # for their mirrors; five panels of 48 nodes each
+        traces._ray_value.cache_clear()
         trace_square(25, PrecisionContext(digits=25))
         assert count_f_evals[0] == 3 * 5 * 48
+
+    def test_shared_ray_across_traces(self, count_f_evals):
+        # the ray of (0,1,0) is kept across calls: Tr_25 after Tr_1 integrates
+        # only (0,5,1) and (0,5,2)
+        ctx = PrecisionContext(digits=25)
+        traces._ray_value.cache_clear()
+        first = trace_square(1, ctx)
+        assert count_f_evals[0] == 5 * 48
+        count_f_evals[0] = 0
+        warm = trace_square(25, ctx)
+        assert count_f_evals[0] == 2 * 5 * 48
+        traces._ray_value.cache_clear()
+        assert trace_square(25, ctx).value == warm.value
+        assert trace_square(1, ctx).value == first.value
