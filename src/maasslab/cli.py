@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -20,20 +21,20 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import __version__
-from .context import PrecisionContext
-from .exact import (chi12, dedekind_sum, is_square, kloosterman_A,
-                    lehmer_ratios, partial_sum_S, s_coeff, spt,
-                    trace_cm_exact)
+from .context import PrecisionContext, _default_digits
+from .exact import (chi12, chi12_sqrt, dedekind_sum, eta_multiplier,
+                    is_square, kloosterman_A, lehmer_ratios, partial_sum_S,
+                    s_coeff, spt, trace_cm_exact)
 from .classnum import hstar, hurwitz_H
 from .bqf import enumerate_classes
 from .matrices import S_MAT
-from .modforms import (F_expansion, eta_eval, eta_qexp, f_eval, f_qexp,
-                       gd_construct, hd_construct)
+from .modforms import (F_expansion, eta_eval, f_eval, f_qexp, gd_construct,
+                       hd_construct)
+from .qseries import eta_series
 from .spectral import (assemble_H, assemble_Z, build_trace_table, coeff_a,
                        delta_op, finite_part_prediction,
                        modularity_residual, pole_finite_part, pole_residue,
                        xi_op)
-from .exact import eta_multiplier
 from .innerprod import ip_level1, ip_level4, plain_reg_closed
 from .traces import trace
 
@@ -85,7 +86,14 @@ def _emit(args, command, inputs, values, err_est=None, exit_code=0):
 
 
 def _ctx(args) -> PrecisionContext:
-    return PrecisionContext(digits=args.digits, c_max=args.c_max)
+    return PrecisionContext(digits=args.digits)
+
+
+def _build_H(args, ctx):
+    """The depth-3/2 expansion H up to --n-max, its non-square traces from
+    Kloosterman series cut at min(--c-max, 4000)."""
+    traces = build_trace_table(args.n_max, ctx, c_max=min(args.c_max, 4000))
+    return assemble_H(args.n_max, traces=traces, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +162,7 @@ def cmd_qexp(args):
     if which == "f":
         series = f_qexp(trunc)
     elif which == "eta":
-        series = eta_qexp(24 * trunc + 1)
+        series = eta_series(24 * trunc + 1)
     elif which == "hd":
         series = hd_construct(args.d, trunc24=trunc * 24 - 1)
     elif which == "gd":
@@ -167,11 +175,7 @@ def cmd_qexp(args):
 
 def cmd_assemble(args):
     ctx = _ctx(args)
-    if args.family == "H":
-        traces = build_trace_table(args.n_max, ctx, c_max=min(args.c_max, 4000))
-        hx = assemble_H(args.n_max, traces=traces, ctx=ctx)
-    else:
-        hx = assemble_Z(args.n_max, ctx)
+    hx = _build_H(args, ctx) if args.family == "H" else assemble_Z(args.n_max, ctx)
     return _emit(args, f"assemble {args.family}", {"n_max": args.n_max},
                  {"expansion": hx.to_json()})
 
@@ -187,8 +191,7 @@ def cmd_eval(args):
     elif which == "F":
         val = F_expansion(24 * (args.n_max // 24 + 1)).eval(tau, ctx)
     elif which == "H":
-        traces = build_trace_table(args.n_max, ctx, c_max=min(args.c_max, 4000))
-        val = assemble_H(args.n_max, traces=traces, ctx=ctx).eval(tau, ctx)
+        val = _build_H(args, ctx).eval(tau, ctx)
     elif which == "Z":
         val = assemble_Z(args.n_max, ctx).eval(tau, ctx)
     else:
@@ -234,17 +237,16 @@ def cmd_verify(args):
         ok = worst <= 1 + 1e-9
         rows.append({"c_max": args.c_max_scan, "max_ratio": worst, "pass": ok})
     elif which == "snx":
-        import math as _m
         x = float(args.c_max_scan)
         S = partial_sum_S(args.n, x)
-        main = chi12(_m.isqrt(args.n)) * 12 * _m.sqrt(3) / _m.pi ** 2 * _m.sqrt(x)
+        main = (chi12(math.isqrt(args.n)) * 12 * math.sqrt(3) / math.pi ** 2
+                * math.sqrt(x))
         ratio = S / main if main else float("nan")
         ok = 0.8 <= ratio <= 1.2 if main else abs(S) < 10 * x ** 0.25
         rows.append({"n": args.n, "x": x, "S": S, "main": main,
                      "ratio": ratio, "pass": ok})
     elif which == "modularity":
-        traces = build_trace_table(args.n_max, ctx, c_max=min(args.c_max, 4000))
-        hx = assemble_H(args.n_max, traces=traces, ctx=ctx)
+        hx = _build_H(args, ctx)
         for tau in (mp.mpc("0.05", "1.02"), mp.mpc("-0.31", "1.1")):
             r = modularity_residual(lambda t: hx.eval(t, ctx), S_MAT,
                                     mp.mpf(1) / 2, eta_multiplier(S_MAT), tau, ctx)
@@ -253,8 +255,7 @@ def cmd_verify(args):
             rows.append({"gamma": "S", "tau": _enc(tau), "residual": _enc(r, 4),
                          "pass": good})
     elif which in ("xi", "delta"):
-        traces = build_trace_table(args.n_max, ctx, c_max=min(args.c_max, 4000))
-        hx = assemble_H(args.n_max, traces=traces, ctx=ctx)
+        hx = _build_H(args, ctx)
         Fx = F_expansion(24 * 9)
         tau = mp.mpc("0.2", "1.4")
         if which == "xi":
@@ -271,7 +272,6 @@ def cmd_verify(args):
         res, spread = pole_residue(args.n, args.c_max, ctx)
         fp, fspread = pole_finite_part(args.n, args.c_max, ctx)
         pred = finite_part_prediction(args.n, ctx)
-        from .exact import chi12_sqrt
         ok = (abs(res - chi12_sqrt(args.n)) < mp.mpf("1e-3")
               and abs(fp - pred) < mp.mpf("1e-2"))
         rows.append({"n": args.n, "residue": _enc(res, 10),
@@ -356,7 +356,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    from .context import _default_digits
     defaults = {"digits": None, "c_max": 10_000, "n_max": 121, "Y": 8.0,
                 "format": "json", "timing": True}
     for key, val in defaults.items():

@@ -19,10 +19,10 @@ def _default_digits() -> int:
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Bundle of precision knobs: decimal digits and Kloosterman-sum cutoff."""
+    """Working precision in decimal digits.  The Kloosterman cutoff is not
+    part of it: each series takes its c_max as an argument."""
 
     digits: int = 60
-    c_max: int = 10_000             # modulus cutoff in Kloosterman series
 
     def __post_init__(self):
         if self.digits < 20:
@@ -36,9 +36,9 @@ class PrecisionContext:
         return mpmath.mpf(10) ** (-self.digits)
 
     @contextmanager
-    def workprec(self, extra: int = 10):
-        """mpmath working precision raised to digits + extra guard digits."""
-        with mp.workdps(self.digits + extra):
+    def workprec(self):
+        """mpmath working precision raised to digits + 10 guard digits."""
+        with mp.workdps(self.digits + 10):
             yield mp
 
 

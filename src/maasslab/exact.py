@@ -146,14 +146,8 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 def chi12(x) -> int:
     """chi_12 = (12|n); returns 0 when x is not a rational integer."""
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            return 0
-        x = x.numerator
-    if isinstance(x, float):
-        if not x.is_integer():
-            return 0
-        x = int(x)
+    if x != int(x):
+        return 0
     return kronecker_symbol(12, int(x))
 
 
@@ -399,6 +393,8 @@ def kloosterman_table(c_max: int, ms: tuple) -> dict:
     if c_max < 1:
         raise ValueError("c_max must be at least 1")
     ms = tuple(ms)
+    if not ms:
+        return {}
     M = len(ms)
     out = {m: np.zeros(c_max + 1) for m in ms}
     for m in ms:

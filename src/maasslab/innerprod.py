@@ -29,8 +29,12 @@ from .context import DEFAULT_CTX, PrecisionContext
 from .exact import chi12_sqrt, is_square
 from .harmonic import HarmonicExpansion, pair_on_horizontal
 from .modforms import gd_construct, hd_construct
+from .special import beta_k
 from .spectral import assemble_H, assemble_Z, build_trace_table
 from .traces import trace, trace_square
+
+# depth of the negative-index tails of h_d and H in the level-1 pairing
+NEG_DEPTH = 24 * 8 - 1
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,6 @@ def counterterm_integral(Y, ctx: PrecisionContext = DEFAULT_CTX):
 
 def ip_level1_numeric(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX,
                       hexp: HarmonicExpansion | None = None,
-                      traces: dict | None = None,
                       counterterms: bool = True):
     """Finite-Y evaluation of the regularized integral: term-by-term boundary
     pairing minus the counterterm and the beta_{1/2}(-pi/6) residual.
@@ -95,10 +98,9 @@ def ip_level1_numeric(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX,
     with mp.workdps(ctx.digits + 10):
         Y = mp.mpf(Y)
         chi = chi12_sqrt(d)
-        neg_depth = 24 * 8 - 1
-        hd = hd_construct(d, trunc24=neg_depth)
+        hd = hd_construct(d, trunc24=NEG_DEPTH)
         if hexp is None:
-            hexp = assemble_H(d, traces=traces, ctx=ctx, neg_max=neg_depth)
+            hexp = assemble_H(d, ctx=ctx, neg_max=NEG_DEPTH)
         pairing = pair_on_horizontal(hd, hexp, Y, ctx)
         integral_FY = -pairing / mp.sqrt(24)
         if not counterterms:
@@ -106,13 +108,8 @@ def ip_level1_numeric(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX,
         value = (integral_FY
                  - mp.mpf(chi) / 12 * counterterm_integral(Y, ctx)
                  - mp.mpc(0, 1) * chi / mp.sqrt(24)
-                 * _beta_half_neg(mp.pi / 6, ctx))
+                 * beta_k(mp.mpf(1) / 2, -(mp.pi / 6), ctx))
         return +value
-
-
-def _beta_half_neg(u, ctx):
-    from .special import beta_k
-    return beta_k(mp.mpf(1) / 2, -u, ctx)
 
 
 def ip_level1(d: int, Y=10, ctx: PrecisionContext = DEFAULT_CTX,
@@ -121,7 +118,7 @@ def ip_level1(d: int, Y=10, ctx: PrecisionContext = DEFAULT_CTX,
         traces = build_trace_table(d, ctx)
     tr1 = traces.get(1, (None,))[0]
     closed = ip_level1_closed(d, ctx, tr_d=traces[d][0], tr_1=tr1)
-    hexp = assemble_H(d, traces=traces, ctx=ctx, neg_max=24 * 8 - 1)
+    hexp = assemble_H(d, traces=traces, ctx=ctx, neg_max=NEG_DEPTH)
     numeric = ip_level1_numeric(d, Y, ctx, hexp=hexp)
     return InnerProductResult(d, closed, numeric, Y, +abs(closed - numeric))
 
@@ -163,20 +160,21 @@ def vec_pairing_level4(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX,
         return +(-pair_on_horizontal(gd, zexp, Y / 4, ctx))
 
 
-def ip_level4_numeric(d: int, Y=8, ctx: PrecisionContext = DEFAULT_CTX,
-                      zexp: HarmonicExpansion | None = None):
-    """Fast path: boundary pairing with the counterterms of the extended
-    inner product: subtract delta_sq ((sqrt Y - 1)/3 - log Y/(2 pi)) and
-    delta_sq/3."""
+def _minus_square_counterterms(val, Y):
+    """val minus the counterterms of the extended inner product for square
+    d: first (sqrt Y - 1)/3 - log Y/(2 pi), then 1/3."""
+    val -= (mp.sqrt(Y) - 1) / 3 - mp.log(Y) / (2 * mp.pi)
+    return val - mp.mpf(1) / 3
+
+
+def ip_level4_numeric(d: int, Y=8, ctx: PrecisionContext = DEFAULT_CTX):
+    """Fast path: boundary pairing minus the square counterterms."""
     if d <= 0 or d % 4 not in (0, 1):
         raise ValueError("index must be a positive discriminant")
     with mp.workdps(ctx.digits + 10):
         Y = mp.mpf(Y)
-        val = vec_pairing_level4(d, Y, ctx, zexp)
-        if is_square(d):
-            val -= (mp.sqrt(Y) - 1) / 3 - mp.log(Y) / (2 * mp.pi)
-            val -= mp.mpf(1) / 3
-        return +val
+        val = vec_pairing_level4(d, Y, ctx)
+        return +(_minus_square_counterterms(val, Y) if is_square(d) else val)
 
 
 def ip_level4(d: int, Y=8, ctx: PrecisionContext = DEFAULT_CTX) -> InnerProductResult:
@@ -256,31 +254,30 @@ def _quad2d_integrand_factory(d: int, n_terms: int, ctx: PrecisionContext):
     return integrand
 
 
-def ip_level4_quad2d(d: int, Y=4.0, xdeg: int = 4, ydeg: int = 4,
-                     n_terms: int | None = None,
-                     ctx: PrecisionContext = DEFAULT_CTX):
-    """Gauss-Legendre quadrature of the vec pairing over the standard
-    fundamental domain truncated at height Y (slow oracle)."""
+def ip_level4_quad2d(d: int, Y=4.0, ctx: PrecisionContext = DEFAULT_CTX):
+    """Gauss-Legendre quadrature (mpmath degree 4 in x and in y) of the vec
+    pairing over the standard fundamental domain truncated at height Y (slow
+    oracle); the q-series run to the first n_terms = 120 + 40k past which
+    their terms fall below the working precision."""
     from mpmath.calculus.quadrature import GaussLegendre
     depth_digits = int(2 * math.pi * d / 0.86 / math.log(10)) + 5
     dps = 25 + depth_digits
     with mp.workdps(dps):
-        if n_terms is None:
-            C = 2 * math.pi * math.sqrt(d)
-            n_terms = 120
-            while C * math.sqrt(n_terms) - 2 * math.pi * n_terms * 0.216 > \
-                    -(dps + 5) * math.log(10):
-                n_terms += 40
+        C = 2 * math.pi * math.sqrt(d)
+        n_terms = 120
+        while C * math.sqrt(n_terms) - 2 * math.pi * n_terms * 0.216 > \
+                -(dps + 5) * math.log(10):
+            n_terms += 40
         f = _quad2d_integrand_factory(d, n_terms, ctx)
         rule = GaussLegendre(mp)
-        xnodes = rule.get_nodes(mp.mpf(-1) / 2, mp.mpf(1) / 2, xdeg, mp.prec)
+        xnodes = rule.get_nodes(mp.mpf(-1) / 2, mp.mpf(1) / 2, 4, mp.prec)
         total = mp.mpf(0)
         for x, wxt in xnodes:
             ylow = mp.sqrt(1 - x * x)
             for (ya, yb) in ((ylow, mp.mpf(2)), (mp.mpf(2), mp.mpf(Y))):
                 if yb <= ya:
                     continue
-                for yy, wyt in rule.get_nodes(ya, yb, ydeg, mp.prec):
+                for yy, wyt in rule.get_nodes(ya, yb, 4, mp.prec):
                     total += wxt * wyt * f(x, yy)
         return +total
 
@@ -298,9 +295,4 @@ def ip_level4_quad2d_value(d: int, Y=4.0, ctx: PrecisionContext = DEFAULT_CTX):
     raw = ip_level4_quad2d(d, Y, ctx=ctx)
     with mp.workdps(ctx.digits + 10):
         val = mp.mpf(raw)
-        if is_square(d):
-            val -= (mp.sqrt(Y) - 1) / 3 - mp.log(Y) / (2 * mp.pi)
-            val -= mp.mpf(1) / 3
-        else:
-            val /= 2
-        return +val
+        return +(_minus_square_counterterms(val, Y) if is_square(d) else val / 2)

@@ -72,9 +72,9 @@ def _reduce(tau):
     raise ArithmeticError(f"SL2(Z) reduction did not finish in {_MAX_STEPS} steps")
 
 
-def _fd_terms_needed(extra_digits: int = 10) -> int:
-    # |q| <= e^{-pi sqrt(3)} in the fundamental domain
-    return int((mp.dps + extra_digits) * mp.log(10) / (mp.pi * mp.sqrt(3))) + 4
+def _fd_terms_needed() -> int:
+    # |q| <= e^{-pi sqrt(3)} in the fundamental domain; 10 guard digits
+    return int((mp.dps + 10) * mp.log(10) / (mp.pi * mp.sqrt(3))) + 4
 
 
 @lru_cache(maxsize=8)
@@ -378,11 +378,6 @@ def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX, hint=None):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def eta_qexp(trunc24: int = 24 * 20) -> QSeries:
-    return eta_series(trunc24)
-
-
-@lru_cache(maxsize=8)
 def f_qexp(trunc: int = 60) -> QSeries:
     """E:f quotient, exponent denominator 1, integer coefficients."""
     t = trunc + 4
@@ -482,19 +477,17 @@ def _solve_exact(A, b):
 # Harmonic expansions of F and the level-4 Zagier form
 # ---------------------------------------------------------------------------
 
-def F_expansion(trunc24: int = 24 * 16,
-                neg_trunc: int | None = None) -> HarmonicExpansion:
+def F_expansion(trunc24: int = 24 * 16) -> HarmonicExpansion:
     """The weight-3/2 harmonic form built from the smallest-parts counts:
     hol part sum s((n+1)/24) q^{n/24} starting at s(0) q^{-1/24}, nonhol part
     -(1/2) sum chi12(m) m beta_{3/2}(pi m^2 y/6) q^{-m^2/24}."""
-    neg = neg_trunc if neg_trunc is not None else trunc24
     terms = {-1: ModeTerm(hol=Fraction(-1, 12))}
     N = 1
     while 24 * N - 1 <= trunc24:
         terms[24 * N - 1] = ModeTerm(hol=s_coeff(N))
         N += 1
     m = 1
-    while m * m <= neg:
+    while m * m <= trunc24:
         ch = chi12(m)
         if ch:
             key = -m * m

@@ -213,23 +213,30 @@ def whittaker_Wn(n: int, y, s, ctx: PrecisionContext = DEFAULT_CTX,
         return +(u ** (-mp.mpf(1) / 4) * w)
 
 
+def richardson(diffs, h):
+    """One Richardson level on central differences: (4 D(h/2) - D(h))/3 for
+    each entry D of the tuple diffs(h), with diffs(h) taken first."""
+    coarse = diffs(h)
+    fine = diffs(h / 2)
+    return [(4 * b - a) / 3 for a, b in zip(coarse, fine)]
+
+
 def whittaker_Wn_ds(n: int, y, s=None, ctx: PrecisionContext = DEFAULT_CTX,
-                    method: str = "analytic", h_step=None):
+                    method: str = "analytic"):
     """d/ds of whittaker_Wn at s (default 3/4).
 
     'analytic' differentiates the integral representation under the integral
-    sign; 'fd' is a central difference with one Richardson level."""
+    sign; 'fd' is a central difference with step 1e-6 and one Richardson
+    level."""
     with mp.workdps(ctx.digits + 15):
         s = mp.mpf(3) / 4 if s is None else _as_mpf(s)
         if method == "fd":
-            h = mp.mpf(h_step if h_step is not None else "1e-6")
+            def diff(h):
+                return ((whittaker_Wn(n, y, s + h, ctx)
+                         - whittaker_Wn(n, y, s - h, ctx)) / (2 * h),)
 
-            def diff(hh):
-                return (whittaker_Wn(n, y, s + hh, ctx)
-                        - whittaker_Wn(n, y, s - hh, ctx)) / (2 * hh)
-
-            d1, d2 = diff(h), diff(h / 2)
-            return +((4 * d2 - d1) / 3)
+            d, = richardson(diff, mp.mpf("1e-6"))
+            return +d
         u = mp.pi * abs(n) * _as_mpf(y) / 6
         kappa = mp.mpf(1) / 4 if n > 0 else -mp.mpf(1) / 4
         w = _whittaker_W_integral(kappa, s, u)

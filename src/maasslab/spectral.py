@@ -23,7 +23,7 @@ from .exact import (chi12, chi12_sqrt, is_square, kloosterman_table,
                     trace_cm_exact)
 from .harmonic import HarmonicExpansion, ModeTerm
 from .matrices import GroupElement
-from .special import c_factor
+from .special import c_factor, richardson
 from .traces import trace_cycle, trace_square
 
 
@@ -71,7 +71,7 @@ def _tail_integral(a, nu, X):
     return lead * (1 / (nu - mp.mpf(1) / 2) + rest)
 
 
-def coeff_a(n: int, s, c_max: int | None = None,
+def coeff_a(n: int, s, c_max: int,
             ctx: PrecisionContext = DEFAULT_CTX,
             table: dict | None = None,
             pole_subtracted: bool = False) -> CoeffResult:
@@ -94,7 +94,6 @@ def coeff_a(n: int, s, c_max: int | None = None,
         raise ArithmeticError("pole: a(n,s) diverges at s = 3/4 for square n")
     if not square and sf < 0.75:
         raise ValueError("s below 3/4")
-    c_max = c_max if c_max is not None else ctx.c_max
     m = (1 - n) // 24
     if table is None or m not in table or len(table[m]) <= c_max:
         table = kloosterman_table(c_max, (m,))
@@ -165,8 +164,9 @@ def neville_at_zero(hs, vs):
     return last, abs(last - prev)
 
 
-def s_grid(k_max: int = 6, base="0.01"):
-    return [mp.mpf(3) / 4 + mp.mpf(base) * mp.mpf(2) ** (-k) for k in range(k_max + 1)]
+def s_grid():
+    """s = 3/4 + 0.01 2^-k for k = 0, ..., 6."""
+    return [mp.mpf(3) / 4 + mp.mpf("0.01") * mp.mpf(2) ** (-k) for k in range(7)]
 
 
 def _extrapolate(hs, vals, errs):
@@ -183,39 +183,40 @@ def _extrapolate(hs, vals, errs):
     return value, spread
 
 
+def _pole_grid(n: int, c_max: int, ctx: PrecisionContext, table, residue: bool):
+    """c(s) a(n,s) on s_grid, extrapolated to h = s - 3/4 = 0: times h for
+    the residue, minus chi12(sqrt n)/h for the finite part."""
+    chi = chi12_sqrt(n)
+    with mp.workdps(ctx.digits + 10):
+        grid = s_grid()
+        hs = [s - mp.mpf(3) / 4 for s in grid]
+        vals, errs = [], []
+        for s, h in zip(grid, hs):
+            a = coeff_a(n, s, c_max, ctx, table)
+            if residue:
+                factor = h * c_factor(s, ctx)
+                vals.append(factor * a.value)
+            else:
+                factor = c_factor(s, ctx)
+                vals.append(factor * a.value - chi / h)
+            errs.append(abs(factor) * a.err_est)
+        return _extrapolate(hs, vals, errs)
+
+
 def pole_residue(n: int, c_max: int = 10_000,
                  ctx: PrecisionContext = DEFAULT_CTX, table: dict | None = None):
     """lim (s-3/4) c(s) a(n,s), extrapolated; should equal chi12(sqrt n).
 
     Returns (value, spread): the Neville spread plus the propagated c_max
     truncation error of the coefficients."""
-    with mp.workdps(ctx.digits + 10):
-        grid = s_grid()
-        vals, errs = [], []
-        for s in grid:
-            a = coeff_a(n, s, c_max, ctx, table)
-            factor = (s - mp.mpf(3) / 4) * c_factor(s, ctx)
-            vals.append(factor * a.value)
-            errs.append(abs(factor) * a.err_est)
-        hs = [s - mp.mpf(3) / 4 for s in grid]
-        return _extrapolate(hs, vals, errs)
+    return _pole_grid(n, c_max, ctx, table, residue=True)
 
 
 def pole_finite_part(n: int, c_max: int = 10_000,
                      ctx: PrecisionContext = DEFAULT_CTX, table: dict | None = None):
     """Constant term of c(s) a(n,s) at s = 3/4 for square n, extrapolated;
     the spread is formed as in pole_residue."""
-    chi = chi12_sqrt(n)
-    with mp.workdps(ctx.digits + 10):
-        grid = s_grid()
-        vals, errs = [], []
-        for s in grid:
-            a = coeff_a(n, s, c_max, ctx, table)
-            factor = c_factor(s, ctx)
-            vals.append(factor * a.value - chi / (s - mp.mpf(3) / 4))
-            errs.append(abs(factor) * a.err_est)
-        hs = [s - mp.mpf(3) / 4 for s in grid]
-        return _extrapolate(hs, vals, errs)
+    return _pole_grid(n, c_max, ctx, table, residue=False)
 
 
 def finite_part_prediction(n: int, ctx: PrecisionContext = DEFAULT_CTX,
@@ -256,7 +257,6 @@ def build_trace_table(n_max: int, ctx: PrecisionContext = DEFAULT_CTX,
 
 
 def assemble_H(n_max: int, traces: dict | None = None,
-               hstar_vals: dict | None = None,
                ctx: PrecisionContext = DEFAULT_CTX,
                neg_max: int | None = None) -> HarmonicExpansion:
     """The depth-3/2 expansion on the q^{1/24} grid:
@@ -286,13 +286,7 @@ def assemble_H(n_max: int, traces: dict | None = None,
             if is_square(n):
                 m = math.isqrt(n)
                 ch = chi12(m)
-                if hstar_vals is not None:
-                    if n not in hstar_vals:
-                        raise ValueError(f"missing precomputed h* for {n}")
-                    hs = hstar_vals[n]
-                else:
-                    hs = hstar(n, ctx)
-                t.hol += 12 * ch * hs / m
+                t.hol += 12 * ch * hstar(n, ctx) / m
                 t.alph.append((24 * ch, Fraction(n, 6)))
             terms[n] = t
         for n in range(-23, -neg - 1, -24):
@@ -357,6 +351,9 @@ def zhatplus_expansion(n_max: int, ctx: PrecisionContext = DEFAULT_CTX) -> Harmo
 # Verification operators
 # ---------------------------------------------------------------------------
 
+FD_STEP = "1e-5"     # step of the finite differences in xi_op and delta_op
+
+
 def _dx(fn, tau, h):
     return (fn(tau + h) - fn(tau - h)) / (2 * h)
 
@@ -365,53 +362,33 @@ def _dy(fn, tau, h):
     return (fn(tau + 1j * h) - fn(tau - 1j * h)) / (2 * h)
 
 
-def xi_op(fn, k, tau, h_step="1e-5", richardson: bool = True,
-          ctx: PrecisionContext = DEFAULT_CTX):
-    """xi_k f = 2 i y^k conj(d f / d tau-bar), central differences in x, y."""
+def xi_op(fn, k, tau, ctx: PrecisionContext = DEFAULT_CTX):
+    """xi_k f = 2 i y^k conj(d f / d tau-bar), central differences in x, y
+    with step FD_STEP and one Richardson level."""
     with mp.workdps(ctx.digits + 10):
         tau = mp.mpc(tau)
-        h = mp.mpf(h_step)
 
-        def dbar(hh):
-            return (_dx(fn, tau, hh) + 1j * _dy(fn, tau, hh)) / 2
+        def dbar(h):
+            return ((_dx(fn, tau, h) + 1j * _dy(fn, tau, h)) / 2,)
 
-        v1 = dbar(h)
-        if not richardson:
-            d = v1
-        else:
-            v2 = dbar(h / 2)
-            d = (4 * v2 - v1) / 3
+        d, = richardson(dbar, mp.mpf(FD_STEP))
         return +(2j * tau.imag ** mp.mpf(k) * mp.conj(d))
 
 
-def delta_op(fn, k, tau, h_step="1e-5", richardson: bool = True,
-             ctx: PrecisionContext = DEFAULT_CTX):
-    """Delta_k = -y^2 (dxx + dyy) + i k y (dx + i dy)."""
+def delta_op(fn, k, tau, ctx: PrecisionContext = DEFAULT_CTX):
+    """Delta_k = -y^2 (dxx + dyy) + i k y (dx + i dy), central differences
+    with step FD_STEP and one Richardson level."""
     with mp.workdps(ctx.digits + 10):
         tau = mp.mpc(tau)
-        h = mp.mpf(h_step)
         y = tau.imag
         f0 = fn(tau)
 
-        def lap(hh):
-            fxx = (fn(tau + hh) - 2 * f0 + fn(tau - hh)) / hh ** 2
-            fyy = (fn(tau + 1j * hh) - 2 * f0 + fn(tau - 1j * hh)) / hh ** 2
-            return fxx, fyy
+        def diffs(h):
+            fxx = (fn(tau + h) - 2 * f0 + fn(tau - h)) / h ** 2
+            fyy = (fn(tau + 1j * h) - 2 * f0 + fn(tau - 1j * h)) / h ** 2
+            return fxx, fyy, _dx(fn, tau, h), _dy(fn, tau, h)
 
-        def first(hh):
-            return _dx(fn, tau, hh), _dy(fn, tau, hh)
-
-        xx1, yy1 = lap(h)
-        dx1, dy1 = first(h)
-        if richardson:
-            xx2, yy2 = lap(h / 2)
-            dx2, dy2 = first(h / 2)
-            xx = (4 * xx2 - xx1) / 3
-            yy = (4 * yy2 - yy1) / 3
-            dx = (4 * dx2 - dx1) / 3
-            dy = (4 * dy2 - dy1) / 3
-        else:
-            xx, yy, dx, dy = xx1, yy1, dx1, dy1
+        xx, yy, dx, dy = richardson(diffs, mp.mpf(FD_STEP))
         return +(-y ** 2 * (xx + yy) + 1j * mp.mpf(k) * y * (dx + 1j * dy))
 
 

@@ -489,13 +489,14 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     taken (two differ by an integer translation on the left).  So the
     dampened integrand of the mirror ray is the conjugate of the first at
     every node, and the real parts, which are all the trace takes, agree up
-    to rounding.  A call therefore reuses (b', b' - c) when it has already
-    used that key, which leaves 3 of the 5 rays of n = 25 to integrate.  Only
-    this exact pair is folded: x0 is not reduced mod 1, so the rays that
-    u_offset shifts by integers are still integrated.  Integrated rays are
-    kept across calls by form and digits (_ray_value), so the ray of
-    (0, 1, 0), which every square uses, is integrated once; which rays a
-    call folds does not depend on that cache, so neither does its value.
+    to rounding.  Each pair is therefore integrated once, under the smaller
+    of c and b' - c (_ray_value(b', min(c, b' - c), digits)), which leaves
+    3 of the 5 rays of n = 25 to integrate.  Only this exact pair is
+    folded: x0 is not reduced mod 1, so the rays that u_offset shifts by
+    integers are still integrated.  Integrated rays are kept across calls
+    by form and digits, so the ray of (0, 1, 0), which every square uses,
+    is integrated once, and a mirror pair is shared by every call that
+    uses it; each key names one ray, so no value depends on that cache.
 
     The rays are summed at their own precision wp (_ray_prec), and the
     TraceValue carries that precision: rounded to ctx.digits + 10 digits,
@@ -507,17 +508,6 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     b = math.isqrt(n)
     chi = chi12_sqrt(n)
     with mp.workprec(_ray_prec(ctx)):
-        rays = {}      # the rays this call has used, for its mirror folding
-
-        def ray(bp: int, c: int):
-            """The damped ray of (0, bp, c), over its cusp x0 = -c/bp, or that
-            of its mirror (0, bp, bp - c) if this call already used that one."""
-            if (bp, c) not in rays:
-                mirror = rays.get((bp, bp - c))
-                rays[bp, c] = (mirror if mirror is not None
-                               else _ray_value(bp, c, ctx.digits))
-            return rays[bp, c]
-
         total = mp.mpf(0)
         err = mp.mpf(0)
         for c in range(b):
@@ -525,7 +515,8 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
             if cp != 0 and u_offset:
                 u += 6 * cp * u_offset
                 v = (1 - u * bp) // (6 * cp)
-            for val, e in (ray(bp, cp), ray(bp, -v)):
+            for c_ray in (cp, -v):
+                val, e = _ray_value(bp, min(c_ray, bp - c_ray), ctx.digits)
                 total += val / b
                 err += e / b
         total = chi * total / (2 * mp.pi)

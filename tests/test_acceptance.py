@@ -107,16 +107,14 @@ def test_criterion5_operator_identities(ctx30, H_full):
     F = F_expansion(24 * 9)
     worst_xi32 = worst_xi12 = worst_delta = mp.mpf(0)
     for tau in SAMPLE_POINTS:
-        r = abs(xi_op(lambda t: F.eval(t, ctx30), mp.mpf(3) / 2, tau,
-                      h_step="1e-5", ctx=ctx30)
+        r = abs(xi_op(lambda t: F.eval(t, ctx30), mp.mpf(3) / 2, tau, ctx=ctx30)
                 + mp.sqrt(6) / (4 * mp.pi) * eta_eval(tau, ctx30))
         worst_xi32 = max(worst_xi32, r)
-        r = abs(xi_op(lambda t: H_full.eval(t, ctx30), mp.mpf(1) / 2, tau,
-                      h_step="1e-5", ctx=ctx30)
+        r = abs(xi_op(lambda t: H_full.eval(t, ctx30), mp.mpf(1) / 2, tau, ctx=ctx30)
                 + 2 * mp.sqrt(6) * F.eval(tau, ctx30))
         worst_xi12 = max(worst_xi12, r)
         r = abs(delta_op(lambda t: H_full.eval(t, ctx30), mp.mpf(1) / 2, tau,
-                         h_step="1e-5", ctx=ctx30)
+                         ctx=ctx30)
                 + 3 / mp.pi * eta_eval(tau, ctx30))
         worst_delta = max(worst_delta, r)
     ok = (worst_xi32 < mp.mpf("1e-6") and worst_xi12 < mp.mpf("1e-4")
@@ -221,7 +219,7 @@ def test_criterion8_special_functions():
     ok &= abs(cprime_factor(mp.mpf(3) / 4, CTX60) - 4 * mp.pi / 3) < mp.mpf("1e-50")
     worst = mp.mpf(0)
     for n, y in ((1, 2), (1, 3), (25, 1)):
-        fd = whittaker_Wn_ds(n, y, ctx=CTX60, method="fd", h_step="1e-6")
+        fd = whittaker_Wn_ds(n, y, ctx=CTX60, method="fd")
         target = 4 * mp.pi * mp.e ** (-mp.pi * n * y / 12) \
             * alpha(mp.mpf(n) * y / 6, CTX60)
         worst = max(worst, abs(fd - target))

@@ -6,6 +6,7 @@ from mpmath import mp
 from maasslab.cli import main
 from maasslab.context import PrecisionContext
 from maasslab.modforms import gd_construct
+from maasslab.spectral import assemble_H, build_trace_table
 from maasslab.traces import trace_cycle
 
 
@@ -144,3 +145,35 @@ def test_eval_f_matches_oracle_and_is_deterministic(capsys, f_oracle):
     val = mp.mpc(mp.mpf(re_s), mp.mpf(im_s) * (-1 if op == "-" else 1))
     ref = f_oracle(mp.mpc("0.13", "0.002"), PrecisionContext(digits=25))
     assert abs(val - ref) <= mp.mpf(doc["err_est"])
+
+
+H_ARGS = ("--no-timing", "--digits", "25", "--n-max", "25", "--c-max", "500")
+
+
+def test_verify_H_identities(capsys):
+    for check in ("modularity", "xi", "delta"):
+        code, out = run_cli(capsys, *H_ARGS, "verify", check)
+        assert code == 0, check
+        assert json.loads(out)["values"]["all_pass"] is True, check
+
+
+def test_eval_H_matches_library(capsys):
+    code, out = run_cli(capsys, *H_ARGS, "eval", "H", "--x", "0.1", "--y", "1.1")
+    assert code == 0
+    ctx = PrecisionContext(digits=25)
+    with mp.workdps(35):
+        H = assemble_H(25, traces=build_trace_table(25, ctx, c_max=500), ctx=ctx)
+        val = H.eval(mp.mpc("0.1", "1.1"), ctx)
+        assert json.loads(out)["values"]["value"] == mp.nstr(val, 25)
+
+
+def test_assemble_H(capsys):
+    code, out = run_cli(capsys, *H_ARGS, "assemble", "H")
+    assert code == 0
+    terms = json.loads(json.loads(out)["values"]["expansion"])["terms"]
+    assert terms
+    # no index n = 1 mod 24 in 0 < n <= 0: an empty trace table
+    code, out = run_cli(capsys, "--no-timing", "--digits", "25", "--n-max", "0",
+                        "assemble", "H")
+    assert code == 0
+    assert json.loads(json.loads(out)["values"]["expansion"])["terms"] == []

@@ -169,6 +169,9 @@ class TestKloosterman:
             with pytest.raises(ValueError):
                 kloosterman_table(c_max, (0, 1))
 
+    def test_table_of_no_m_is_empty(self):
+        assert kloosterman_table(50, ()) == {}
+
     def test_lehmer_ratios_rescan_a_short_table(self):
         ms = (0, 1, -1)
         short = kloosterman_table(100, ms)
@@ -246,6 +249,7 @@ class TestChi12:
         assert chi12(5) == -1 and chi12(7) == -1
         assert chi12(6) == 0 and chi12(2) == 0 and chi12(3) == 0
         assert chi12(Fraction(1, 2)) == 0 and chi12(2.5) == 0
+        assert chi12(mp.mpf("5.5")) == 0 and chi12(mp.mpf(5)) == -1
 
     def test_mod12_periodicity(self):
         for n in range(1, 200):

@@ -12,8 +12,8 @@ from maasslab.context import PrecisionContext
 from maasslab.exact import chi12_sqrt
 from maasslab.matrices import IDENTITY, S_MAT, T_power, atkin_lehner
 from maasslab.modforms import (E4_eval, E6_eval, F_expansion, eta_eval,
-                               eta_qexp, f_eval, f_qexp, gd_construct,
-                               hd_construct, j_eval, zminus_expansion)
+                               f_eval, f_qexp, gd_construct, hd_construct,
+                               j_eval, zminus_expansion)
 from maasslab.qseries import (QSeries, eisenstein_E4, eta_series,
                               euler_product, j_series)
 from support import reduce_plus
@@ -295,7 +295,7 @@ class TestHdFamily:
         # constant term of h_d * eta vanishes, forcing A(d,-1) = -chi12(sqrt d)
         for d in (25, 49, 73, 97, 121):
             h = hd_construct(d, trunc24=24 * 3 + 23)
-            prod = h * eta_qexp(24 * (d // 24 + 6))
+            prod = h * eta_series(24 * (d // 24 + 6))
             assert prod.coeff(0) == 0
             assert h.coeff(-1) == -chi12_sqrt(d)
 

@@ -575,3 +575,15 @@ class TestSquarePanels:
         traces._ray_value.cache_clear()
         assert trace_square(25, ctx).value == warm.value
         assert trace_square(1, ctx).value == first.value
+
+    def test_mirror_pairs_shared_across_traces(self, count_f_evals):
+        # u_offset = -1 uses the mirrors of the rays that u_offset = 1 used,
+        # which the ray cache keys under the same (b', min(c, b' - c))
+        ctx = PrecisionContext(digits=25)
+        traces._ray_value.cache_clear()
+        trace_square(25, ctx, u_offset=1)
+        count_f_evals[0] = 0
+        warm = trace_square(25, ctx, u_offset=-1)
+        assert count_f_evals[0] == 0
+        traces._ray_value.cache_clear()
+        assert trace_square(25, ctx, u_offset=-1).value == warm.value
