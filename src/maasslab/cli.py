@@ -203,7 +203,8 @@ def cmd_eval(args):
 def cmd_innerprod(args):
     ctx = _ctx(args)
     if args.level == "level1":
-        res = ip_level1(args.d, Y=args.Y, ctx=ctx)
+        traces = build_trace_table(args.d, ctx, c_max=min(args.c_max, 4000))
+        res = ip_level1(args.d, Y=args.Y, ctx=ctx, traces=traces)
     else:
         res = ip_level4(args.d, Y=args.Y, ctx=ctx)
     values = {"closed": res.closed, "numeric": res.numeric,
@@ -364,9 +365,9 @@ def main(argv=None):
     if args.digits is None:
         args.digits = _default_digits()
     args._t0 = time.monotonic()
-    mp.dps = args.digits + 10
     try:
-        return args.func(args)
+        with mp.workdps(args.digits + 10):
+            return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"command": args.cmd, "error": str(exc)}))

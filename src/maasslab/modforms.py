@@ -533,9 +533,12 @@ def _gd_seed_build(trunc: int):
 
     g_1 is the half-period twist of theta E4(4t)/eta(4t)^6.  g_4 is solved
     for inside the span generated from g_1 by the plus-support-preserving
-    Serre derivative D = (1/4)Theta - (w/12)E2(4t), Eisenstein multipliers
+    Serre derivative (1/4)Theta - (w/12)E2(4t), Eisenstein multipliers
     E4(4t)/E6(4t), and 1/Delta(4t); both are validated downstream against
-    printed coefficients."""
+    printed coefficients.  The span uses 24 times the Serre derivative,
+    D(g) = 6 Theta g - (3 + 4k) E2(4t) g at weight w = 3/2 + 2k, so every
+    series in it has integer coefficients, and g_4 is converted to integers
+    after the solve."""
     t4 = trunc // 4 + 4
     theta = theta_series(trunc + 8)
     E4_4 = eisenstein_E4(t4).scale_arg(4)
@@ -551,14 +554,10 @@ def _gd_seed_build(trunc: int):
     D4inv = ((euler_product(t4) ** 24).scale_arg(4).shift(4)).inverse()
     j4 = j_series(t4 - 1).scale_arg(4)
 
-    def dop(g, w):
-        return Fraction(1, 4) * g.theta_op() + Fraction(-w, 12) * (E2_4 * g)
-
     ds = [g1]
-    w = Fraction(3, 2)
-    for _ in range(6):
-        ds.append(dop(ds[-1], w))
-        w += 2
+    for k in range(6):
+        g = ds[-1]
+        ds.append(6 * g.theta_op() - (3 + 4 * k) * (E2_4 * g))
     pool = [g1, g1 * j4,
             ds[6] * D4inv, ds[4] * E4_4 * D4inv, ds[3] * E6_4 * D4inv,
             ds[2] * (E4_4 ** 2) * D4inv, ds[1] * E4_4 * E6_4 * D4inv,
@@ -574,6 +573,9 @@ def _gd_seed_build(trunc: int):
         if xv:
             term = xv * p
             g4 = term if g4 is None else g4 + term
+    if any(c.denominator != 1 for c in g4.coeffs if isinstance(c, Fraction)):
+        raise ArithmeticError("g_4 seed has non-integral coefficients")
+    g4 = QSeries(1, g4.lo, [int(c) for c in g4.coeffs], g4.trunc)
     return g1, g4, j4
 
 

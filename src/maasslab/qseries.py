@@ -163,8 +163,12 @@ class QSeries:
                        self.trunc * m + (m - 1))
 
     def theta_op(self) -> "QSeries":
-        """(1/2 pi i) d/dtau: multiplies the q^{nu} coefficient by nu."""
-        coeffs = [Fraction(k, self.denom) * c if c else 0
+        """(1/2 pi i) d/dtau: multiplies the q^{nu} coefficient by nu.
+
+        Exponents on the integer lattice give integer factors, so an integer
+        series at integral exponents stays integer."""
+        d = self.denom
+        coeffs = [(k // d * c if k % d == 0 else Fraction(k, d) * c) if c else 0
                   for k, c in zip(range(self.lo, self.trunc + 1), self.coeffs)]
         return QSeries(self.denom, self.lo, coeffs, self.trunc)
 

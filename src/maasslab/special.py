@@ -3,6 +3,13 @@ ratio beta_k, the alpha kernel, Bessel J/I/K, Whittaker M/W evaluated from
 an integral representation with s-derivatives, and the normalizing factors
 c(s), c'(s).
 
+beta_k exists for k = 1/2 and k = 3/2 only, both in closed form:
+beta_{1/2}(y) = erfc(sqrt y), beta_{3/2}(y) = erfc(sqrt y) - e^{-y}/sqrt(pi y),
+and beta_{1/2}(-y) = 1 - i erfi(sqrt y) for y > 0.  alpha has two regimes:
+for pi y <= ALPHA_CLOSED_MAX (30) the closed form
+(psi(1/2) - log p + pi erfi(sqrt p) - 2 p 2F2(1,1; 3/2,2; p)) / 4 pi at
+p = pi y, above it an exponentially convergent trapezoid rule.
+
 All routines take an optional PrecisionContext and evaluate with guard
 digits on top of ctx.digits.
 """
@@ -21,53 +28,37 @@ def _as_mpf(x):
 
 
 # ---------------------------------------------------------------------------
-# Incomplete gamma machinery
+# The incomplete gamma ratio
 # ---------------------------------------------------------------------------
 
-def gamma_star(a, z, ctx: PrecisionContext = DEFAULT_CTX):
-    """Entire function gamma*(a,z) = e^{-z} sum_j z^j / Gamma(a+j+1).
-
-    Equals gamma(a,z) / (Gamma(a) z^a) for z > 0 and continues it in z."""
-    guard = 20 + int(abs(z) / 2.3) if z < 0 else 15
-    with mp.workdps(ctx.digits + guard):
-        z = _as_mpf(z)
-        a = _as_mpf(a)
-        total = mp.mpf(0)
-        term_scale = mp.mpf(1)
-        j = 0
-        target = mp.mpf(10) ** (-(ctx.digits + 10))
-        while True:
-            term = term_scale / mp.gamma(a + j + 1)
-            total += term
-            j += 1
-            term_scale *= z
-            if j > 4 and abs(term) < target * max(1, abs(total)) and abs(z) < j:
-                break
-            if j > 10_000:
-                raise ArithmeticError("gamma* series did not converge")
-        return +(mp.e ** (-z) * total)
-
-
 def beta_k(k, y, ctx: PrecisionContext = DEFAULT_CTX):
-    """beta_k(y) = Gamma(1-k, y) / Gamma(1-k).
+    """beta_k(y) = Gamma(1-k, y) / Gamma(1-k) for k = 1/2 and k = 3/2.
 
-    Defined for y > 0 whenever 1-k is not a nonpositive integer (so k = 1/2
-    and k = 3/2 are both fine).  Negative y is allowed only for k = 1/2,
-    through beta_k(y) = 1 - y^{1-k} gamma*(1-k, y) with sqrt(-y) = i sqrt(y);
-    the result is then complex."""
+    Both have closed forms in the error function: beta_{1/2}(y) = erfc(sqrt y)
+    and, from Gamma(-1/2, y) = 2 e^{-y}/sqrt(y) - 2 Gamma(1/2, y),
+    beta_{3/2}(y) = erfc(sqrt y) - e^{-y}/sqrt(pi y).  The two terms of
+    beta_{3/2} agree to about log10(2y) digits at large y, so that many guard
+    digits are added.  Negative y is allowed only for k = 1/2, where
+    beta_{1/2}(-y) = 1 - erf(i sqrt y) = 1 - i erfi(sqrt y) is complex.
+    Any other k raises ValueError."""
+    half = mp.mpf(1) / 2
     k = mp.mpf(k)
-    if k >= 1 and k == mp.floor(k):
-        raise ValueError("k must not be a positive integer")
+    if k != half and k != 3 * half:
+        raise ValueError("beta_k is implemented for k = 1/2 and k = 3/2 only")
     with mp.workdps(ctx.digits + 15):
         y = _as_mpf(y)
         if y == 0:
             return mp.mpf(1)
-        if y > 0:
-            return +(mp.gammainc(1 - k, a=y, b=mp.inf) / mp.gamma(1 - k))
-        if k != mp.mpf(1) / 2:
-            raise ValueError("negative argument only supported at k = 1/2")
-        root = mp.mpc(0, 1) * mp.sqrt(-y)      # y^{1/2} with sqrt(-y)=i sqrt(y)
-        return +(1 - root * gamma_star(mp.mpf(1) / 2, y, ctx))
+        if y < 0:
+            if k != half:
+                raise ValueError("negative argument only supported at k = 1/2")
+            return +mp.mpc(1, -mp.erfi(mp.sqrt(-y)))
+        if k == half:
+            return +mp.erfc(mp.sqrt(y))
+        with mp.extradps(math.ceil(math.log10(2 + 2 * float(y)))):
+            root = mp.sqrt(y)
+            val = mp.erfc(root) - mp.exp(-y) / (mp.sqrt(mp.pi) * root)
+        return +val
 
 
 def erfc_quadrature(x, ctx: PrecisionContext = DEFAULT_CTX):
@@ -82,8 +73,67 @@ def erfc_quadrature(x, ctx: PrecisionContext = DEFAULT_CTX):
 # The alpha kernel
 # ---------------------------------------------------------------------------
 
+# alpha(y) comes from its closed form for pi y <= ALPHA_CLOSED_MAX and from
+# the trapezoid rule above it
+ALPHA_CLOSED_MAX = 30
+
+
 def alpha(y, ctx: PrecisionContext = DEFAULT_CTX):
     """alpha(y) = (sqrt y / 4 pi) int_0^oo e^{-pi y t} t^{-1/2} log(1+t) dt.
+
+    Two regimes, split at pi y = ALPHA_CLOSED_MAX: the closed form in erfi
+    and 2F2 at or below it (_alpha_closed), the trapezoid rule above it
+    (_alpha_trapezoid)."""
+    if y <= 0:
+        raise ValueError("argument must be positive")
+    if math.pi * float(y) <= ALPHA_CLOSED_MAX:
+        return _alpha_closed(y, ctx)
+    return _alpha_trapezoid(y, ctx)
+
+
+def _alpha_closed(y, ctx: PrecisionContext):
+    """alpha(y) = K(p) / 4 pi at p = pi y, with
+
+        K(p) = psi(1/2) - log p + pi erfi(sqrt p) - 2 p 2F2(1,1; 3/2,2; p).
+
+    Derivation: Frullani's log(1+t) = int_0^oo (e^{-s} - e^{-s(1+t)}) ds/s
+    and int_0^oo e^{-pt} t^{-1/2} (1 - e^{-st}) dt = sqrt(pi) (p^{-1/2} -
+    (p+s)^{-1/2}) give, after s = p u,
+
+        K(p) = int_0^oo e^{-pu} (1 - (1+u)^{-1/2}) du/u,
+
+    so K'(p) = -1/p + int_0^oo e^{-pu} (1+u)^{-1/2} du
+             = -1/p + sqrt(pi/p) e^p erfc(sqrt p).
+    The derivative of pi erfi(sqrt p) is sqrt(pi/p) e^p, and that of
+    2 p 2F2(1,1; 3/2,2; p) = 2 sum_n 2^n p^{n+1} / ((n+1) (2n+1)!!) is
+    sqrt(pi/p) e^p erf(sqrt p), so the right side has derivative K'(p).  The
+    constant is fixed by the limit K(p) + log p -> psi(1/2) as p -> 0:
+    K(p) = int_0^oo e^{-pu} ((1 - (1+u)^{-1/2})/u - 1/(1+u)) du + e^p E1(p),
+    the integral tends to -2 log 2 = psi(1/2) + gamma and e^p E1(p) + log p
+    to -gamma.  The erfi and 2F2 terms grow like e^p while K falls like
+    1/(2p), so ceil(p / ln 10) guard digits absorb the cancellation.  The 2F2 term is
+    summed in fixed point from the ratio of consecutive terms,
+    2p (n+1) / ((n+2)(2n+3)); all terms are positive."""
+    with mp.workdps(ctx.digits + 15):
+        y = _as_mpf(y)
+        with mp.extradps(math.ceil(math.pi * float(y) / math.log(10))):
+            p = mp.pi * y
+            wp = mp.prec + 20
+            pf = mp.to_fixed(p, wp)
+            term, f22, n = pf, 0, 0
+            while term:
+                f22 += term
+                term = (term * pf >> wp) * (2 * n + 2) // ((n + 2) * (2 * n + 3))
+                n += 1
+            psi_half = -mp.euler - 2 * mp.ln2
+            K = (psi_half - mp.log(p) + mp.pi * mp.erfi(mp.sqrt(p))
+                 - mp.ldexp(2 * f22, -wp))
+            val = K / (4 * mp.pi)
+        return +val
+
+
+def _alpha_trapezoid(y, ctx: PrecisionContext):
+    """alpha(y) by the trapezoid rule.
 
     With t = u^2 the integral is int_R e^{-pi y u^2} log(1+u^2) du, whose
     integrand is even and analytic in the strip |Im u| < 1 (log singularities
@@ -98,8 +148,6 @@ def alpha(y, ctx: PrecisionContext = DEFAULT_CTX):
     factors come from the ratio recursion e^{-p(k+1)^2} = e^{-pk^2} r_k,
     r_{k+1} = r_k e^{-2p} in fixed point, so a node costs one logarithm
     (of 1 + u^2 formed exactly) and three integer products."""
-    if y <= 0:
-        raise ValueError("argument must be positive")
     with mp.workdps(ctx.digits + 15):
         y = _as_mpf(y)
         yf = float(y)

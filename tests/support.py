@@ -1,5 +1,6 @@
-"""Helpers shared by the test modules: the Gamma0(6) class oracle and the
-fixed-point Gamma0(6)+ reduction seen through mpmath numbers."""
+"""Helpers shared by the test modules: the Gamma0(6) class oracle, the
+fixed-point Gamma0(6)+ reduction seen through mpmath numbers, and the
+incomplete-gamma oracles for special.beta_k."""
 
 import math
 
@@ -7,6 +8,7 @@ from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from maasslab import modforms
+from maasslab.context import DEFAULT_CTX, PrecisionContext
 from maasslab.bqf import (BQF, _transporter_in_gamma06, automorph, reduce_definite,
                           sl2_transporter_indefinite)
 from maasslab.exact import is_square
@@ -63,3 +65,35 @@ def reduce_plus(tau, start=None):
     re, im = mp.mpc(tau)._mpc_
     zr, zi, sign, g = modforms._reduce_plus(to_fixed(re, W), to_fixed(im, W), W, start)
     return mp.mpc(mp.ldexp(zr, -W), mp.ldexp(zi, -W)), sign, g
+
+
+def gamma_star(a, z, ctx: PrecisionContext = DEFAULT_CTX):
+    """Entire function gamma*(a,z) = e^{-z} sum_j z^j / Gamma(a+j+1).
+
+    Equals gamma(a,z) / (Gamma(a) z^a) for z > 0 and continues it in z."""
+    guard = 20 + int(abs(z) / 2.3) if z < 0 else 15
+    with mp.workdps(ctx.digits + guard):
+        z = mp.mpf(z)
+        a = mp.mpf(a)
+        total = mp.mpf(0)
+        term_scale = mp.mpf(1)
+        j = 0
+        target = mp.mpf(10) ** (-(ctx.digits + 10))
+        while True:
+            term = term_scale / mp.gamma(a + j + 1)
+            total += term
+            j += 1
+            term_scale *= z
+            if j > 4 and abs(term) < target * max(1, abs(total)) and abs(z) < j:
+                break
+            if j > 10_000:
+                raise ArithmeticError("gamma* series did not converge")
+        return +(mp.e ** (-z) * total)
+
+
+def beta_gammainc(k, y, ctx: PrecisionContext = DEFAULT_CTX):
+    """beta_k(y) = Gamma(1-k, y) / Gamma(1-k) for y > 0 by mpmath's general
+    incomplete gamma: the oracle for special.beta_k's closed forms."""
+    with mp.workdps(ctx.digits + 15):
+        k, y = mp.mpf(k), mp.mpf(y)
+        return +(mp.gammainc(1 - k, a=y, b=mp.inf) / mp.gamma(1 - k))

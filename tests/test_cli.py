@@ -177,3 +177,22 @@ def test_assemble_H(capsys):
                         "assemble", "H")
     assert code == 0
     assert json.loads(json.loads(out)["values"]["expansion"])["terms"] == []
+
+
+def test_main_restores_mp_dps(capsys):
+    before = mp.dps
+    code, _ = run_cli(capsys, "--digits", "25", "hurwitz", "--n", "3")
+    assert code == 0
+    assert mp.dps == before
+
+
+def test_innerprod_level1_honours_c_max(capsys):
+    numeric = {}
+    for c_max in ("500", "2000"):
+        code, out = run_cli(capsys, "--no-timing", "--digits", "25", "--c-max", c_max,
+                            "innerprod", "level1", "--d", "73")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["c_max"] == int(c_max)
+        numeric[c_max] = doc["values"]["numeric"]
+    assert numeric["500"] != numeric["2000"]

@@ -42,6 +42,10 @@ class TestQSeries:
         assert t.coeff(1) == Fraction(7, 24)
         const = QSeries(1, 0, [3, 0], 1)
         assert all(c == 0 for _, c in const.theta_op().support())
+        # integral exponents give integer factors, not Fractions
+        t = QSeries(24, -24, [2] + [0] * 47 + [3], 24).theta_op()
+        assert (t.coeff(-24), t.coeff(24)) == (-2, 3)
+        assert type(t.coeff(-24)) is int and type(t.coeff(24)) is int
 
     @given(st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
@@ -299,6 +303,13 @@ class TestHdFamily:
             assert prod.coeff(0) == 0
             assert h.coeff(-1) == -chi12_sqrt(d)
 
+    def test_integer_coefficients(self):
+        """The h_d build runs in integers: Theta(j) at exponents 24k/24 stays
+        integral, so no coefficient is a Fraction."""
+        for d in (25, 49, 73, 97):
+            h = hd_construct(d)
+            assert all(type(c) is int for c in h.coeffs), d
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             hd_construct(24)
@@ -329,6 +340,16 @@ class TestGdFamily:
             for k, c in g.support():
                 assert k % 4 in (0, 3), (d, k)
                 assert isinstance(c, int)
+
+    def test_integer_coefficients(self):
+        """The seeds and every g_d are built in integers (the span of g_4 from
+        24 times the Serre derivative), so no coefficient is a Fraction."""
+        for seed in modforms._gd_seeds(60 + 40):
+            assert all(type(c) is int for c in seed.coeffs)
+        for d in range(1, 41):
+            if d % 4 in (0, 1):
+                g = gd_construct(d, trunc=60)
+                assert all(type(c) is int for c in g.coeffs), d
 
     def test_exact_truncation_and_prefix(self):
         """Every g_d carries exactly the requested truncation, and a shorter

@@ -4,9 +4,11 @@ import pytest
 from mpmath import mp
 
 from maasslab.context import PrecisionContext
-from maasslab.special import (alpha, bessel, beta_k, c_factor, cprime_factor,
-                              erfc_quadrature, gamma_star, whittaker_M,
-                              whittaker_Wn, whittaker_Wn_ds)
+from maasslab.special import (ALPHA_CLOSED_MAX, _alpha_closed, _alpha_trapezoid,
+                              alpha, bessel, beta_k, c_factor, cprime_factor,
+                              erfc_quadrature, whittaker_M, whittaker_Wn,
+                              whittaker_Wn_ds)
+from support import beta_gammainc, gamma_star
 
 CTX = PrecisionContext(digits=60)
 
@@ -32,15 +34,34 @@ class TestBeta:
         assert abs(vals[-1] - 1 / mp.gamma(-mp.mpf(1) / 2)) < mp.mpf("0.01")
 
     def test_integer_k_rejected(self):
-        with pytest.raises(ValueError):
-            beta_k(1, 2.0, CTX)
+        # so is every k other than 1/2 and 3/2
+        for k in (1, 1 / 4):
+            with pytest.raises(ValueError):
+                beta_k(k, 2.0, CTX)
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_closed_forms_match_gammainc(self, digits):
+        """erfc(sqrt y) and erfc(sqrt y) - e^{-y}/sqrt(pi y) against mpmath's
+        general incomplete gamma, y = 10^-6 .. 10^3 on a grid of 0.25 in
+        log10 y (beta_{3/2} cancels about log10(2y) digits at large y)."""
+        ctx = PrecisionContext(digits=digits)
+        for e in range(-24, 13):
+            y = mp.mpf(10) ** (mp.mpf(e) / 4)
+            for k in (mp.mpf(1) / 2, mp.mpf(3) / 2):
+                with mp.workdps(digits + 20):
+                    b, ref = beta_k(k, y, ctx), beta_gammainc(k, y, ctx)
+                    assert abs(b - ref) <= mp.mpf(10) ** -(digits + 3) * abs(ref), (k, y)
 
     def test_negative_argument_continuation(self):
-        # beta_{1/2}(-y) = 1 - i sqrt(y) gamma*(1/2, -y)
-        y = mp.mpf(3)
-        v = beta_k(0.5, -y, CTX)
-        gs = gamma_star(mp.mpf(1) / 2, -y, CTX)
-        assert abs(v - (1 - mp.mpc(0, 1) * mp.sqrt(y) * gs)) < mp.mpf("1e-55")
+        # beta_{1/2}(-y) = 1 - i erfi(sqrt y) against 1 - i sqrt(y) gamma*(1/2, -y)
+        for digits in (30, 60):
+            ctx = PrecisionContext(digits=digits)
+            for y in ("1e-6", "0.01", "0.5236", "3", "12.5", "40"):
+                y = mp.mpf(y)
+                with mp.workdps(digits + 20):
+                    v = beta_k(0.5, -y, ctx)
+                    ref = 1 - mp.mpc(0, 1) * mp.sqrt(y) * gamma_star(mp.mpf(1) / 2, -y, ctx)
+                    assert abs(v - ref) <= mp.mpf(10) ** -(digits + 3) * abs(ref), y
         with pytest.raises(ValueError):
             beta_k(1.5, -1.0, CTX)
 
@@ -100,6 +121,19 @@ class TestAlpha:
             with mp.workdps(digits + 40):
                 a, ref = alpha(y, ctx), alpha(y, hi)
                 assert abs(a - ref) <= mp.mpf(10) ** -(digits + 5) * ref, y
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_closed_form_matches_trapezoid(self, digits):
+        """The erfi/2F2 closed form against the trapezoid rule for pi y in
+        [15, 45], on both sides of the hand-off at pi y = ALPHA_CLOSED_MAX,
+        where the closed form's e^{pi y} cancellation is largest."""
+        assert ALPHA_CLOSED_MAX == 30
+        ctx = PrecisionContext(digits=digits)
+        for p in (15, 20, 25, 29, 30, 31, 35, 40, 45):
+            y = mp.mpf(p) / mp.pi
+            with mp.workdps(digits + 20):
+                a, ref = _alpha_closed(y, ctx), _alpha_trapezoid(y, ctx)
+                assert abs(a - ref) <= mp.mpf(10) ** -(digits + 3) * ref, p
 
     def test_d25_gap_value(self):
         """The alpha gap quoted by test_criterion7_level1_square_d25,
