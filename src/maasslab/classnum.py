@@ -65,9 +65,14 @@ def regulator(d: int, ctx: PrecisionContext = DEFAULT_CTX):
         return +(2 * mp.log((t + u * mp.sqrt(d)) / 2))
 
 
+@lru_cache(maxsize=1024)
 def hstar(d: int, ctx: PrecisionContext = DEFAULT_CTX):
     """h*(d) = (1/2 pi) sum over l^2 | d (with d/l^2 still a discriminant)
-    of R(d/l^2) h(d/l^2)."""
+    of R(d/l^2) h(d/l^2).
+
+    Values are cached, keyed by d and ctx: the result is rounded at
+    ctx.digits + 10 whatever the caller's precision, so it depends on
+    nothing else."""
     if d % 4 not in (0, 1) or d == 0:
         raise ValueError("not a discriminant")
     with mp.workdps(ctx.digits + 10):

@@ -135,20 +135,37 @@ class QSeries:
         return result
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse; the leading coefficient must be a unit."""
+        """Multiplicative inverse; a leading coefficient other than +-1 gives
+        Fraction coefficients.
+
+        With g the gcd of the exponent offsets k - k0 of the nonzero
+        coefficients, only every g-th slot of the inverse can be nonzero
+        (g = 24 for eta), so the recursion runs on those slots alone, over
+        the nonzero terms, and the result is spread back over the window."""
         s = self.normalized()
         k0, c0 = s.leading()
         n = s.trunc - s.lo
-        a = [s.coeffs[i] for i in range(n + 1)]
+        terms = [(j, c) for j, c in enumerate(s.coeffs) if c and j]
+        # a running gcd: math.gcd over a starred generator made the peak RSS
+        # grow steadily over repeated h_d builds (CPython 3.11)
+        g = 0
+        for j, _ in terms:
+            g = math.gcd(g, j)
+        g = g or n + 1
+        terms = [(j // g, c) for j, c in terms]
         inv0 = 1 if c0 == 1 else (-1 if c0 == -1 else Fraction(1, 1) / c0)
-        b = [inv0] + [0] * n
-        for k in range(1, n + 1):
+        b = [inv0] + [0] * (n // g)
+        live = 0
+        for k in range(1, len(b)):
+            while live < len(terms) and terms[live][0] <= k:
+                live += 1
             acc = 0
-            for j in range(1, k + 1):
-                if a[j]:
-                    acc += a[j] * b[k - j]
+            for j, c in terms[:live]:
+                acc += c * b[k - j]
             b[k] = -inv0 * acc
-        return QSeries(s.denom, -k0, b, -k0 + n)
+        out = [0] * (n + 1)
+        out[::g] = b
+        return QSeries(s.denom, -k0, out, -k0 + n)
 
     def shift(self, num: int) -> "QSeries":
         """Multiply by q^{num/denom}."""

@@ -17,6 +17,7 @@ digits on top of ctx.digits.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -31,6 +32,7 @@ def _as_mpf(x):
 # The incomplete gamma ratio
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def beta_k(k, y, ctx: PrecisionContext = DEFAULT_CTX):
     """beta_k(y) = Gamma(1-k, y) / Gamma(1-k) for k = 1/2 and k = 3/2.
 
@@ -40,7 +42,12 @@ def beta_k(k, y, ctx: PrecisionContext = DEFAULT_CTX):
     beta_{3/2} agree to about log10(2y) digits at large y, so that many guard
     digits are added.  Negative y is allowed only for k = 1/2, where
     beta_{1/2}(-y) = 1 - erf(i sqrt y) = 1 - i erfi(sqrt y) is complex.
-    Any other k raises ValueError."""
+    Any other k raises ValueError.
+
+    Values are cached, keyed by the argument values and ctx: the result is
+    rounded at ctx.digits + 15 whatever the caller's precision, so it
+    depends on nothing else.  An expansion's modes ask for the same (k, y)
+    at every point of one height."""
     half = mp.mpf(1) / 2
     k = mp.mpf(k)
     if k != half and k != 3 * half:

@@ -328,25 +328,6 @@ def assemble_Z(n_max: int, ctx: PrecisionContext = DEFAULT_CTX) -> HarmonicExpan
         return HarmonicExpansion(1, terms, specials, label="Z")
 
 
-def zhatplus_expansion(n_max: int, ctx: PrecisionContext = DEFAULT_CTX) -> HarmonicExpansion:
-    """Display-only variant of the level-4 expansion that differs from it by
-    an explicit multiple of the theta series (square-index coefficients are
-    shifted accordingly, and the constant becomes the printed zeta'/zeta one)."""
-    base = assemble_Z(n_max, ctx)
-    with mp.workdps(ctx.digits + 10):
-        zp = mp.zeta(2, derivative=1)
-        cshift = (-(zp / mp.zeta(2) - mp.euler + mp.log(4)) / mp.pi
-                  - (mp.euler - mp.log(16 * mp.pi)) / (4 * mp.pi))
-        # log y parts of both constants agree, so the shift is a pure number
-        m = 1
-        while m * m <= n_max:
-            base.terms[m * m].hol += 2 * cshift
-            m += 1
-        base.specials = list(base.specials) + [("const_times_theta_shift", Fraction(1))]
-        base.label = "Zhatplus-display"
-        return base
-
-
 # ---------------------------------------------------------------------------
 # Verification operators
 # ---------------------------------------------------------------------------

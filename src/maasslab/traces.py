@@ -10,8 +10,6 @@ definition, so for n < 0 the value is the bare CM sum (no 1/(2 pi)).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -537,11 +535,3 @@ def trace(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> TraceValue:
         return trace_square(n, ctx)
     return trace_cycle(n, ctx)
 
-
-def traces_to_csv(values) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "regime", "value", "err_est"])
-    for t in values:
-        w.writerow([t.n, t.regime, mp.nstr(t.value, 30), mp.nstr(t.err_est, 5)])
-    return buf.getvalue()

@@ -1,8 +1,9 @@
 """Helpers shared by the test modules: the Gamma0(6) class oracle, the
-fixed-point Gamma0(6)+ reduction seen through mpmath numbers, and the
-incomplete-gamma oracles for special.beta_k."""
+fixed-point Gamma0(6)+ reduction seen through mpmath numbers, the
+incomplete-gamma oracles for special.beta_k and the dense q-series inverse."""
 
 import math
+from fractions import Fraction
 
 from mpmath import mp
 from mpmath.libmp import to_fixed
@@ -13,6 +14,7 @@ from maasslab.bqf import (BQF, _transporter_in_gamma06, automorph, reduce_defini
                           sl2_transporter_indefinite)
 from maasslab.exact import is_square
 from maasslab.matrices import GroupElement
+from maasslab.qseries import QSeries
 
 
 def definite_automorphs(Q: BQF):
@@ -97,3 +99,21 @@ def beta_gammainc(k, y, ctx: PrecisionContext = DEFAULT_CTX):
     with mp.workdps(ctx.digits + 15):
         k, y = mp.mpf(k), mp.mpf(y)
         return +(mp.gammainc(1 - k, a=y, b=mp.inf) / mp.gamma(1 - k))
+
+
+def dense_inverse(series: QSeries) -> QSeries:
+    """QSeries.inverse by the O(n^2) recursion over every slot of the window:
+    the oracle for the strided recursion."""
+    s = series.normalized()
+    k0, c0 = s.leading()
+    n = s.trunc - s.lo
+    a = [s.coeffs[i] for i in range(n + 1)]
+    inv0 = 1 if c0 == 1 else (-1 if c0 == -1 else Fraction(1, 1) / c0)
+    b = [inv0] + [0] * n
+    for k in range(1, n + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            if a[j]:
+                acc += a[j] * b[k - j]
+        b[k] = -inv0 * acc
+    return QSeries(s.denom, -k0, b, -k0 + n)

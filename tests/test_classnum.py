@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from maasslab import classnum
 from maasslab.bqf import class_number, fundamental_unit
 from maasslab.classnum import hstar, hstar_square_direct, hurwitz_H, regulator
 from maasslab.context import PrecisionContext
@@ -90,3 +91,19 @@ class TestHstar:
         for d in (1, 25, 49, 121, 169):
             assert abs(hstar(d, CTX) - hstar_square_direct(d, CTX)) < mp.mpf("1e-38")
         assert abs(hstar(1, CTX)) < mp.mpf("1e-38")
+
+    def test_cached_values_are_bit_identical(self):
+        for d in range(-100, 101):
+            if d == 0 or d % 4 not in (0, 1):
+                continue
+            fresh = hstar.__wrapped__(d, CTX)
+            with mp.workdps(15):
+                hstar(d, CTX)
+                cached = hstar(d, CTX)
+            assert cached._mpf_ == fresh._mpf_, d
+
+    def test_cache_is_a_module_functools_cache(self):
+        # the scan a benchmark uses to clear every package cache between rounds
+        found = [v for v in vars(classnum).values()
+                 if hasattr(v, "cache_clear") and hasattr(v, "cache_info")]
+        assert any(v is hstar for v in found)

@@ -1,16 +1,20 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from maasslab import special
 from maasslab.classnum import hstar, hurwitz_H
 from maasslab.exact import chi12_sqrt
-from maasslab.innerprod import (counterterm_integral, ip_level1_closed,
+from maasslab.harmonic import pair_on_horizontal
+from maasslab.innerprod import (NEG_DEPTH, counterterm_integral, ip_level1_closed,
                                 ip_level1_numeric, ip_level4,
                                 ip_level4_closed, ip_level4_numeric,
                                 ip_level4_quad2d_value, plain_reg_closed,
                                 vec_pairing_level4)
-from maasslab.modforms import gd_construct
+from maasslab.modforms import gd_construct, hd_construct
 from maasslab.special import alpha, beta_k
 from maasslab.spectral import assemble_Z
 
@@ -175,3 +179,62 @@ class TestLevel4:
         import json
         doc = json.loads(r.to_json())
         assert doc["d"] == 5 and "discrepancy" in doc
+
+
+def _mpnum(c):
+    return mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else c
+
+
+def _mode_with_decay(hx, num, y, ctx):
+    """The e(nu x) coefficient of hx on Im tau = y, decay included:
+    (hol + sum c beta_k(s pi y) + sum c alpha(s y)) e^{-2 pi nu y}, with
+    beta_k uncached."""
+    t = hx.terms[num]
+    beta = special.beta_k.__wrapped__
+    part = _mpnum(t.hol)
+    for k, pairs in ((mp.mpf(1) / 2, t.beta12), (mp.mpf(3) / 2, t.beta32)):
+        part += sum(_mpnum(c) * beta(k, _mpnum(s) * mp.pi * y, ctx) for c, s in pairs)
+    part += sum(_mpnum(c) * alpha(_mpnum(s) * y, ctx) for c, s in t.alph)
+    return part * mp.exp(-2 * mp.pi * mp.mpf(num) / hx.denom * y)
+
+
+class TestPairingWithoutDecays:
+    """The pairing and eval drop e^{-2 pi nu y} from the modes; the formula
+    with both exponentials written out is their oracle."""
+
+    @staticmethod
+    def _two_exponentials(qs, hx, y, ctx):
+        with mp.workdps(ctx.digits + 20):
+            y = mp.mpf(y)
+            total = mp.mpc(0)
+            for k, c in qs.support():
+                if -k in hx.terms:
+                    total += (_mpnum(c) * mp.exp(-2 * mp.pi * mp.mpf(k) / qs.denom * y)
+                              * _mode_with_decay(hx, -k, y, ctx))
+                if k == 0:
+                    total += _mpnum(c) * hx.specials_value(y, ctx)
+            return total
+
+    def _check(self, qs, hx, y, ctx):
+        got = pair_on_horizontal(qs, hx, y, ctx)
+        want = self._two_exponentials(qs, hx, y, ctx)
+        assert abs(got - want) <= mp.mpf(10) ** -(ctx.digits + 5) * max(1, abs(want))
+
+    def test_g5_with_Z_at_height_2(self, ctx30):
+        self._check(gd_construct(5, trunc=24), assemble_Z(24, ctx30), 2, ctx30)
+
+    def test_h73_with_H_at_Y_10(self, ctx30, H_full):
+        self._check(hd_construct(73, trunc24=NEG_DEPTH), H_full, 10, ctx30)
+
+    def test_eval_is_phase_times_decay(self, ctx30):
+        Z = assemble_Z(24, ctx30)
+        rng = random.Random(5)
+        for _ in range(3):
+            tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.5))
+            got = Z.eval(tau, ctx30)
+            with mp.workdps(ctx30.digits + 20):
+                want = Z.specials_value(tau.imag, ctx30) + sum(
+                    _mode_with_decay(Z, num, tau.imag, ctx30)
+                    * mp.expjpi(2 * mp.mpf(num) / Z.denom * tau.real)
+                    for num in Z.terms)
+            assert abs(got - want) <= mp.mpf(10) ** -(ctx30.digits + 5) * max(1, abs(want)), tau

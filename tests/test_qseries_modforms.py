@@ -16,7 +16,7 @@ from maasslab.modforms import (E4_eval, E6_eval, F_expansion, eta_eval,
                                j_eval, zminus_expansion)
 from maasslab.qseries import (QSeries, eisenstein_E4, eta_series,
                               euler_product, j_series)
-from support import reduce_plus
+from support import dense_inverse, reduce_plus
 
 CTX = PrecisionContext(digits=60)
 
@@ -34,6 +34,23 @@ class TestQSeries:
         prod = e * e.inverse()
         assert prod.coeff(0) == 1
         assert all(prod.coeff(k) == 0 for k in range(1, prod.trunc + 1))
+
+    @pytest.mark.parametrize("series", [
+        *(eta_series(24 * k) for k in range(13, 20)),       # stride 24
+        eisenstein_E4(60),                                   # dense
+        QSeries(1, 0, [1, 0, 0, -2, 0, 0, 5, 0, 0, 7, 0], 10),   # stride 3
+        QSeries(24, -1, [2] + [0] * 23 + [3] + [0] * 23 + [-5], 47),  # 1/2: Fractions
+        QSeries(1, 2, [-1, 0, 0, 0], 5),                     # one term
+    ], ids=[*(f"eta{24 * k}" for k in range(13, 20)), "E4", "stride3",
+            "lead2", "one_term"])
+    def test_strided_inverse_matches_dense(self, series):
+        """The strided recursion against the O(n^2) loop over every slot:
+        equal coefficient for coefficient, and int wherever the loop's is."""
+        got, want = series.inverse(), dense_inverse(series)
+        assert (got.denom, got.lo, got.trunc) == (want.denom, want.lo, want.trunc)
+        for a, b in zip(got.coeffs, want.coeffs, strict=True):
+            assert a == b
+            assert type(b) is not int or type(a) is int
 
     def test_theta_op(self):
         s = QSeries(24, -1, [5, 0, 7], 1)

@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mp
 
+from maasslab import special
 from maasslab.context import PrecisionContext
 from maasslab.special import (ALPHA_CLOSED_MAX, _alpha_closed, _alpha_trapezoid,
                               alpha, bessel, beta_k, c_factor, cprime_factor,
@@ -11,6 +12,10 @@ from maasslab.special import (ALPHA_CLOSED_MAX, _alpha_closed, _alpha_trapezoid,
 from support import beta_gammainc, gamma_star
 
 CTX = PrecisionContext(digits=60)
+
+
+def _bits(v):
+    return v._mpc_ if isinstance(v, mp.mpc) else v._mpf_
 
 
 class TestBeta:
@@ -64,6 +69,36 @@ class TestBeta:
                     assert abs(v - ref) <= mp.mpf(10) ** -(digits + 3) * abs(ref), y
         with pytest.raises(ValueError):
             beta_k(1.5, -1.0, CTX)
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_cached_values_are_bit_identical(self, digits):
+        """A cache hit, taken at another ambient precision, returns the same
+        bits as an uncached evaluation, on both branches and both k."""
+        ctx = PrecisionContext(digits=digits)
+        ys = [mp.mpf(10) ** (mp.mpf(e) / 2) for e in range(-12, 7)]
+        args = [(k, y) for k in (mp.mpf(1) / 2, mp.mpf(3) / 2) for y in ys]
+        args += [(mp.mpf(1) / 2, -y) for y in ys[:10]]
+        for k, y in args:
+            fresh = beta_k.__wrapped__(k, y, ctx)
+            with mp.workdps(15):
+                beta_k(k, y, ctx)
+                hits = beta_k.cache_info().hits
+                cached = beta_k(k, y, ctx)
+                assert beta_k.cache_info().hits == hits + 1
+            assert _bits(cached) == _bits(fresh), (k, y)
+
+    def test_rejections_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                beta_k(0.25, 1, CTX)
+            with pytest.raises(ValueError):
+                beta_k(1.5, -1, CTX)
+
+    def test_cache_is_a_module_functools_cache(self):
+        # the scan a benchmark uses to clear every package cache between rounds
+        found = [v for v in vars(special).values()
+                 if hasattr(v, "cache_clear") and hasattr(v, "cache_info")]
+        assert any(v is beta_k for v in found)
 
     def test_betarel_identity(self):
         # beta(-pi Y/6) - 1 = beta(-pi/6) - 1 - (i/sqrt 6) int_1^Y y^{-1/2} e^{pi y/6}

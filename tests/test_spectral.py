@@ -14,8 +14,7 @@ from maasslab.matrices import S_MAT, T_power
 from maasslab.modforms import F_expansion, eta_eval
 from maasslab.spectral import (assemble_H, assemble_Z, coeff_a, delta_op,
                                modularity_residual, neville_at_zero,
-                               pole_finite_part, pole_residue, xi_op,
-                               zhatplus_expansion)
+                               pole_finite_part, pole_residue, xi_op)
 
 
 class TestCoeffA:
@@ -158,12 +157,6 @@ class TestAssembly:
         a = assemble_Z(24, ctx30).eval(tau, ctx30)
         b = assemble_Z(48, ctx30).eval(tau, ctx30)
         assert abs(a - b) < mp.mpf("1e-6")
-
-    def test_zhatplus_display(self, ctx30):
-        hx = zhatplus_expansion(16, ctx30)
-        assert hx.label.startswith("Zhatplus")
-        val = hx.eval(mp.mpc("0.2", "1.3"), ctx30)
-        assert mp.isfinite(val)
 
 
 def _fr(a, b):

@@ -14,8 +14,7 @@ from maasslab.matrices import GroupElement, projectively_equal
 from maasslab.modforms import MU, f_eval
 from maasslab.traces import (cycle_integral, damp_fQ, damped_ray_integral,
                              trace, trace_cm, trace_cycle, trace_square,
-                             traces_to_csv, _damp_sigmas, _ray_seed,
-                             _square_bookkeeping)
+                             _damp_sigmas, _ray_seed, _square_bookkeeping)
 from support import gamma06_equivalent, reduce_plus
 
 CTX = PrecisionContext(digits=30)
@@ -471,11 +470,9 @@ class TestSquareTraces:
         with pytest.raises(ValueError):
             trace_square(73, CTX)
 
-    def test_dispatch_and_csv(self, ctx30):
+    def test_dispatch(self, ctx30):
         tv = trace(-23, ctx30)
         assert tv.regime == "cm"
-        csv_text = traces_to_csv([tv])
-        assert "cm" in csv_text and csv_text.startswith("n,regime")
 
 
 class TestMirrorRays:
