@@ -39,13 +39,6 @@ class BQF:
     def value(self, x, y):
         return self.a * x * x + self.b * x * y + self.c * y * y
 
-    def in_Qn(self) -> bool:
-        """Membership in Q_n: 6 | a, b = 1 mod 12 (and a > 0 when definite)."""
-        ok = self.a % 6 == 0 and self.b % 12 == 1
-        if self.disc() < 0:
-            ok = ok and self.a > 0
-        return ok
-
 
 def act(g: GroupElement, Q: BQF) -> BQF:
     return BQF(*g.apply_form(Q.as_tuple()))
@@ -416,13 +409,11 @@ def cm_point(Q: BQF):
 
 @dataclass(frozen=True)
 class Geodesic:
-    """Semicircle data for disc > 0 non-square; cusp data for square disc."""
+    """Cusp data of a square-discriminant form: its two cusps and the
+    Atkin-Lehner normalizer of each."""
     form: BQF
-    center: Fraction | None = None
-    radius2: Fraction | None = None          # radius^2, exact
-    automorph: GroupElement | None = None
-    cusps: tuple | None = None               # (a1, a2) as Fraction or 'oo'
-    cusp_normalizers: tuple | None = None    # ((r1, g1), (r2, g2))
+    cusps: tuple                 # (a1, a2) as Fraction or 'oo'
+    cusp_normalizers: tuple      # ((r1, g1), (r2, g2))
 
 
 def cusp_normalizer(cusp):
@@ -461,16 +452,11 @@ def _xgcd(a: int, b: int):
 
 
 def geodesic_data(Q: BQF) -> Geodesic:
+    """The cusps of a form of positive square discriminant and their
+    normalizers (cusp_normalizer)."""
     D = Q.disc()
-    if D <= 0:
-        raise ValueError("geodesic requires a positive discriminant")
-    if not is_square(D):
-        if Q.a == 0:
-            raise ValueError("normalize a != 0 for non-square geodesics")
-        return Geodesic(Q,
-                        center=Fraction(-Q.b, 2 * Q.a),
-                        radius2=Fraction(D, 4 * Q.a * Q.a),
-                        automorph=automorph(Q))
+    if D <= 0 or not is_square(D):
+        raise ValueError("geodesic data needs a positive square discriminant")
     e = math.isqrt(D)
     if Q.a != 0:
         roots = (Fraction(-Q.b + e, 2 * Q.a), Fraction(-Q.b - e, 2 * Q.a))

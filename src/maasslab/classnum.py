@@ -85,16 +85,3 @@ def hstar(d: int, ctx: PrecisionContext = DEFAULT_CTX):
                 continue
             total += regulator(m, ctx) * class_number(m)
         return +(total / (2 * mp.pi))
-
-
-def hstar_square_direct(d: int, ctx: PrecisionContext = DEFAULT_CTX):
-    """For square d: h*(d) = (1/pi) sum_{c mod sqrt d} log(sqrt d / (c, sqrt d))."""
-    if not is_square(d) or d <= 0:
-        raise ValueError("need a positive square discriminant")
-    b = math.isqrt(d)
-    with mp.workdps(ctx.digits + 10):
-        total = mp.mpf(0)
-        for c in range(b):
-            g = math.gcd(c, b)
-            total += mp.log(mp.mpf(b) / g)
-        return +(total / mp.pi)

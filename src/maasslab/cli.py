@@ -126,7 +126,7 @@ def cmd_dedekind(args):
 
 def cmd_kloosterman(args):
     ctx = _ctx(args)
-    val = kloosterman_A(args.c, args.m, ctx, method=args.method)
+    val = kloosterman_A(args.c, args.m, ctx)
     return _emit(args, "kloosterman", {"c": args.c, "m": args.m},
                  {"A": val}, err_est=ctx.eps * args.c)
 
@@ -323,7 +323,6 @@ def build_parser():
     sp = add("kloosterman", cmd_kloosterman)
     sp.add_argument("--c", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--method", choices=["fast", "direct"], default="fast")
     sp = add("classes", cmd_classes); sp.add_argument("--n", type=int, required=True)
     sp = add("trace", cmd_trace); sp.add_argument("--n", type=int, required=True)
     sp = add("coeff", cmd_coeff)

@@ -28,21 +28,6 @@ from .matrices import GroupElement
 # Dedekind sums
 # ---------------------------------------------------------------------------
 
-def dedekind_sum_direct(d: int, c: int) -> Fraction:
-    """s(d,c) by the defining sum sum_{r=1}^{c-1} (r/c)((dr/c) - floor - 1/2).
-
-    Slow oracle; kept independent of the reciprocity descent."""
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    if math.gcd(d, c) != 1:
-        raise ValueError("gcd violation")
-    total = Fraction(0)
-    for r in range(1, c):
-        x = Fraction(d * r, c)
-        total += Fraction(r, c) * (x - math.floor(x) - Fraction(1, 2))
-    return total
-
-
 def dedekind_sum(d: int, c: int) -> Fraction:
     """s(d,c) via the Euclid-style reciprocity descent (exact)."""
     if c < 1:
@@ -75,9 +60,6 @@ class UnitRoot24:
 
     def __mul__(self, other: "UnitRoot24") -> "UnitRoot24":
         return UnitRoot24(self.exponent + other.exponent)
-
-    def conjugate(self) -> "UnitRoot24":
-        return UnitRoot24(-self.exponent)
 
     def value(self):
         """Numerical value at the current mpmath precision."""
@@ -225,37 +207,21 @@ def _units(c: int) -> list:
     return [d for d in range(c) if math.gcd(d, c) == 1]
 
 
-def _eta_phase(d: int, c: int, sfun=dedekind_sum) -> int:
+def _eta_phase(d: int, c: int) -> int:
     """6c s(d,c), an integer: the phase e^{pi i s(d,c)} is e(6c s(d,c) / 12c)."""
-    x = 6 * c * sfun(d, c)
+    x = 6 * c * dedekind_sum(d, c)
     if x.denominator != 1:
         raise ArithmeticError("6c s(d,c) must be integral")
     return int(x)
 
 
-def kloosterman_A(c: int, m: int, ctx: PrecisionContext = DEFAULT_CTX,
-                  method: str = "fast"):
+def kloosterman_A(c: int, m: int, ctx: PrecisionContext = DEFAULT_CTX):
     """A_c(m) = sum_{d mod c, (d,c)=1} e^{pi i s(d,c)} e(-d m / c).
 
-    Phases are exact integers mod 12c summed as roots of unity.  method
-    'direct' forces the defining-sum Dedekind evaluation, 'fast' the
-    reciprocity descent."""
-    sfun = dedekind_sum if method == "fast" else dedekind_sum_direct
-    return _root_sum((_eta_phase(d, c, sfun) - 12 * d * m for d in _units(c)),
+    Phases are exact integers mod 12c (the Dedekind sums by the reciprocity
+    descent) summed as roots of unity."""
+    return _root_sum((_eta_phase(d, c) - 12 * d * m for d in _units(c)),
                      12 * c, ctx)
-
-
-def kloosterman_k(a: int, b: int, c: int, ctx: PrecisionContext = DEFAULT_CTX):
-    """Ordinary Kloosterman sum k(a,b;c) = sum e((a dbar + b d)/c)."""
-    return _root_sum((a * pow(d, -1, c) + b * d for d in _units(c)), c, ctx)
-
-
-def kloosterman_K_eta(m: int, n: int, c: int,
-                      ctx: PrecisionContext = DEFAULT_CTX):
-    """K(m,n;c) = sum_{d mod c, (d,c)=1} e^{pi i s(d,c)} e((dbar m + d n)/c),
-    the eta-multiplier Kloosterman sum; satisfies A_c(n) = K(0,-n,c)."""
-    return _root_sum((_eta_phase(d, c) + 12 * (pow(d, -1, c) * m + d * n)
-                      for d in _units(c)), 12 * c, ctx)
 
 
 _SCAN_BLOCK = 32     # moduli (or primes) per numpy block of the hit scan
@@ -438,21 +404,18 @@ def kloosterman_table(c_max: int, ms: tuple) -> dict:
     return out
 
 
-def lehmer_ratios(c_max: int, ms: tuple, table: dict | None = None) -> np.ndarray:
-    """max_m |A_c(m)| / (2^{omega0(c)} sqrt(c)) for each c (index = c).
-
-    A table that lacks some m, or stops below c_max, is replaced by a scan."""
-    if table is None or any(m not in table or len(table[m]) <= c_max for m in ms):
-        table = kloosterman_table(c_max, tuple(ms))
+def lehmer_ratios(c_max: int, ms: tuple) -> np.ndarray:
+    """max_m |A_c(m)| / (2^{omega0(c)} sqrt(c)) for each c (index = c)."""
+    table = kloosterman_table(c_max, tuple(ms))
     bound = np.array([1.0] + [2.0 ** omega0(c) * math.sqrt(c)
                               for c in range(1, c_max + 1)])
     worst = np.zeros(c_max + 1)
     for m in ms:
-        worst = np.maximum(worst, np.abs(table[m][:c_max + 1]))
+        worst = np.maximum(worst, np.abs(table[m]))
     return worst / bound
 
 
-def partial_sum_S(n: int, x: float, table: dict | None = None) -> float:
+def partial_sum_S(n: int, x: float) -> float:
     """S(n,x) = sum_{c <= x} A_c((1-n)/24) / c."""
     if n % 24 != 1:
         raise ValueError("index must be 1 mod 24")
@@ -460,11 +423,9 @@ def partial_sum_S(n: int, x: float, table: dict | None = None) -> float:
         raise ValueError("cutoff below 1")
     m = (1 - n) // 24
     cx = int(math.floor(x))
-    if table is None or m not in table or len(table[m]) <= cx:
-        table = kloosterman_table(cx, (m,))
-    col = table[m]
+    col = kloosterman_table(cx, (m,))[m]
     cs = np.arange(1, cx + 1)
-    return float((col[1:cx + 1] / cs).sum())
+    return float((col[1:] / cs).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -498,32 +459,6 @@ def partition_p(n: int) -> int:
     if n < 0:
         raise ValueError("negative argument")
     return _partition_list(max(n, 64))[n]
-
-
-def iter_partitions(n: int, max_part: int | None = None):
-    """Yield all partitions of n as weakly decreasing tuples (oracle use)."""
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in iter_partitions(n - first, first):
-            yield (first,) + rest
-
-
-def partition_p_enum(n: int) -> int:
-    """Brute-force enumeration count (test oracle)."""
-    return sum(1 for _ in iter_partitions(n))
-
-
-def spt_enum(n: int) -> int:
-    """spt(n) by direct enumeration: total multiplicity of the smallest part."""
-    total = 0
-    for lam in iter_partitions(n):
-        smallest = lam[-1]
-        total += sum(1 for part in lam if part == smallest)
-    return total
 
 
 @lru_cache(maxsize=4)

@@ -18,7 +18,6 @@ quadrature oracle over the truncated fundamental domain.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,8 +29,7 @@ from .exact import chi12_sqrt, is_square
 from .harmonic import HarmonicExpansion, pair_on_horizontal
 from .modforms import gd_construct, hd_construct
 from .special import beta_k
-from .spectral import assemble_H, assemble_Z, build_trace_table
-from .traces import trace, trace_square
+from .spectral import assemble_H, assemble_Z
 
 # depth of the negative-index tails of h_d and H in the level-1 pairing
 NEG_DEPTH = 24 * 8 - 1
@@ -45,32 +43,26 @@ class InnerProductResult:
     Y: object
     discrepancy: object
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "d": self.d,
-            "closed": mp.nstr(mp.mpc(self.closed), 25),
-            "numeric": mp.nstr(mp.mpc(self.numeric), 25),
-            "Y": mp.nstr(mp.mpf(self.Y), 10),
-            "discrepancy": mp.nstr(mp.mpf(self.discrepancy), 6),
-        })
-
 
 # ---------------------------------------------------------------------------
 # Level 1
 # ---------------------------------------------------------------------------
 
-def ip_level1_closed(d: int, ctx: PrecisionContext = DEFAULT_CTX,
-                     tr_d=None, tr_1=None):
-    """(1/sqrt 24)(-Tr_d + chi12(sqrt d)(Tr_1 - 12 h*(d)/sqrt d - i))."""
+def ip_level1_closed(d: int, ctx: PrecisionContext = DEFAULT_CTX, *,
+                     traces: dict):
+    """(1/sqrt 24)(-Tr_d + chi12(sqrt d)(Tr_1 - 12 h*(d)/sqrt d - i)), with
+    Tr_n = traces[n][0] from a trace table (spectral.build_trace_table); a
+    table without Tr_d, or without Tr_1 for square d, raises ValueError."""
     if d <= 1 or d % 24 != 1:
         raise ValueError("index must be 1 mod 24 and > 1")
+    chi = chi12_sqrt(d)
+    need = [n for n in ((d, 1) if chi else (d,)) if n not in traces]
+    if need:
+        raise ValueError(f"missing precomputed traces for n in {need}")
     with mp.workdps(ctx.digits + 10):
-        chi = chi12_sqrt(d)
-        trd = tr_d if tr_d is not None else trace(d, ctx).value
-        total = -mp.mpc(trd)
+        total = -mp.mpc(traces[d][0])
         if chi:
-            tr1 = tr_1 if tr_1 is not None else trace_square(1, ctx).value
-            total += chi * (mp.mpc(tr1) - 12 * hstar(d, ctx) / mp.sqrt(d)
+            total += chi * (mp.mpc(traces[1][0]) - 12 * hstar(d, ctx) / mp.sqrt(d)
                             - mp.mpc(0, 1))
         return +(total / mp.sqrt(24))
 
@@ -83,28 +75,27 @@ def counterterm_integral(Y, ctx: PrecisionContext = DEFAULT_CTX):
         return +(mp.sqrt(mp.pi / a) * (mp.erfi(mp.sqrt(a * Y)) - mp.erfi(mp.sqrt(a))))
 
 
-def ip_level1_numeric(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX,
-                      hexp: HarmonicExpansion | None = None,
-                      counterterms: bool = True):
+def ip_level1_numeric(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX, *,
+                      hexp: HarmonicExpansion):
     """Finite-Y evaluation of the regularized integral: term-by-term boundary
-    pairing minus the counterterm and the beta_{1/2}(-pi/6) residual.
-
-    With counterterms=False this is the plain truncated integral, which
-    converges on its own exactly when d is not a square."""
+    pairing with the depth-3/2 expansion hexp (spectral.assemble_H, with
+    neg_max >= NEG_DEPTH) minus the counterterm and the beta_{1/2}(-pi/6)
+    residual.  Both vanish for non-square d (chi12(sqrt d) = 0), where the
+    truncated integral converges on its own.  An hexp without the modes
+    that h_d's principal part pairs with raises ValueError."""
     if d <= 1 or d % 24 != 1:
         raise ValueError("index must be 1 mod 24 and > 1")
     if Y < 2:
         raise ValueError("height must be at least 2 for the regularization")
+    hd = hd_construct(d, trunc24=NEG_DEPTH)
+    need = [-k for k, _ in hd.support() if k < 0 and -k not in hexp.terms]
+    if need:
+        raise ValueError(f"the expansion lacks the modes n/24 for n in {need}")
     with mp.workdps(ctx.digits + 10):
         Y = mp.mpf(Y)
         chi = chi12_sqrt(d)
-        hd = hd_construct(d, trunc24=NEG_DEPTH)
-        if hexp is None:
-            hexp = assemble_H(d, ctx=ctx, neg_max=NEG_DEPTH)
         pairing = pair_on_horizontal(hd, hexp, Y, ctx)
         integral_FY = -pairing / mp.sqrt(24)
-        if not counterterms:
-            return +integral_FY
         value = (integral_FY
                  - mp.mpf(chi) / 12 * counterterm_integral(Y, ctx)
                  - mp.mpc(0, 1) * chi / mp.sqrt(24)
@@ -112,13 +103,12 @@ def ip_level1_numeric(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX,
         return +value
 
 
-def ip_level1(d: int, Y=10, ctx: PrecisionContext = DEFAULT_CTX,
-              traces: dict | None = None) -> InnerProductResult:
-    if traces is None:
-        traces = build_trace_table(d, ctx)
-    tr1 = traces.get(1, (None,))[0]
-    closed = ip_level1_closed(d, ctx, tr_d=traces[d][0], tr_1=tr1)
-    hexp = assemble_H(d, traces=traces, ctx=ctx, neg_max=NEG_DEPTH)
+def ip_level1(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX, *,
+              traces: dict) -> InnerProductResult:
+    """Both level-1 values from one trace table: the closed form and the
+    boundary pairing with H assembled from the same traces."""
+    closed = ip_level1_closed(d, ctx, traces=traces)
+    hexp = assemble_H(d, traces, ctx, neg_max=NEG_DEPTH)
     numeric = ip_level1_numeric(d, Y, ctx, hexp=hexp)
     return InnerProductResult(d, closed, numeric, Y, +abs(closed - numeric))
 
@@ -147,16 +137,14 @@ def plain_reg_closed(d: int, ctx: PrecisionContext = DEFAULT_CTX):
         return +(-mp.mpf(3) / 4 * hstar(d, ctx) / mp.sqrt(d))
 
 
-def vec_pairing_level4(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX,
-                       zexp: HarmonicExpansion | None = None):
+def vec_pairing_level4(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX):
     """int_{F_Y} (vec g_d . conj vec g_0) y^{3/2} dmu/y^2 via the horizontal
     boundary pairing: -(pairing of g_d with the level-4 assembly at tau/4)."""
     with mp.workdps(ctx.digits + 10):
         Y = mp.mpf(Y)
         n_side = max(d + 1, 24)
         gd = gd_construct(d, trunc=n_side)
-        if zexp is None:
-            zexp = assemble_Z(n_side, ctx)
+        zexp = assemble_Z(n_side, ctx)
         return +(-pair_on_horizontal(gd, zexp, Y / 4, ctx))
 
 
@@ -167,7 +155,7 @@ def _minus_square_counterterms(val, Y):
     return val - mp.mpf(1) / 3
 
 
-def ip_level4_numeric(d: int, Y=8, ctx: PrecisionContext = DEFAULT_CTX):
+def ip_level4_numeric(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX):
     """Fast path: boundary pairing minus the square counterterms."""
     if d <= 0 or d % 4 not in (0, 1):
         raise ValueError("index must be a positive discriminant")
@@ -177,7 +165,7 @@ def ip_level4_numeric(d: int, Y=8, ctx: PrecisionContext = DEFAULT_CTX):
         return +(_minus_square_counterterms(val, Y) if is_square(d) else val)
 
 
-def ip_level4(d: int, Y=8, ctx: PrecisionContext = DEFAULT_CTX) -> InnerProductResult:
+def ip_level4(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX) -> InnerProductResult:
     closed = ip_level4_closed(d, ctx)
     numeric = ip_level4_numeric(d, Y, ctx)
     return InnerProductResult(d, closed, numeric, Y, +abs(closed - numeric))
@@ -201,11 +189,7 @@ def _quad2d_integrand_factory(d: int, n_terms: int, ctx: PrecisionContext):
         H = hurwitz_H(n)
         if H:
             H_vals[n] = mp.mpf(H.numerator) / H.denominator
-    msq = []
-    m = 1
-    while m * m <= n_terms:
-        msq.append(m)
-        m += 1
+    msq = range(1, math.isqrt(n_terms) + 1)
 
     def integrand(x, y):
         tau4 = mp.mpc(x, y) / 4
@@ -254,7 +238,7 @@ def _quad2d_integrand_factory(d: int, n_terms: int, ctx: PrecisionContext):
     return integrand
 
 
-def ip_level4_quad2d(d: int, Y=4.0, ctx: PrecisionContext = DEFAULT_CTX):
+def ip_level4_quad2d(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX):
     """Gauss-Legendre quadrature (mpmath degree 4 in x and in y) of the vec
     pairing over the standard fundamental domain truncated at height Y (slow
     oracle); the q-series run to the first n_terms = 120 + 40k past which
@@ -282,7 +266,7 @@ def ip_level4_quad2d(d: int, Y=4.0, ctx: PrecisionContext = DEFAULT_CTX):
         return +total
 
 
-def ip_level4_quad2d_value(d: int, Y=4.0, ctx: PrecisionContext = DEFAULT_CTX):
+def ip_level4_quad2d_value(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX):
     """The extended inner product from the 2-D oracle, counterterms included.
 
     Convention note: the plain componentwise integral of

@@ -80,9 +80,6 @@ class GroupElement:
             A, B, C = A // self.scale, B // self.scale, C // self.scale
         return (A, B, C)
 
-    def in_gamma0(self, level: int = 6) -> bool:
-        return self.scale == 1 and self.c % level == 0
-
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -106,11 +103,3 @@ def atkin_lehner(r: int) -> GroupElement:
     if r == 6:
         return GroupElement(0, -1, 6, 0, 6)
     raise ValueError("Atkin-Lehner index must divide 6")
-
-
-def projectively_equal(g1: GroupElement, g2: GroupElement) -> bool:
-    """Equality in the group generated by Gamma0(6) and the W_r, i.e. up to
-    a positive rational scalar and overall sign of the matrix."""
-    m1, m2 = g1.as_tuple(), g2.as_tuple()
-    cross = [m1[i] * m2[j] - m1[j] * m2[i] for i in range(4) for j in range(i + 1, 4)]
-    return all(x == 0 for x in cross)

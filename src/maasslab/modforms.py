@@ -32,10 +32,10 @@ from mpmath.libmp import (dps_to_prec, from_man_exp, mpf_cos_sin_pi, mpf_exp,
                           mpf_mul, mpf_pi, round_nearest, to_fixed)
 
 from .context import DEFAULT_CTX, PrecisionContext
-from .exact import chi12, chi12_sqrt, s_coeff
+from .exact import chi12, chi12_sqrt, is_square, s_coeff
 from .harmonic import HarmonicExpansion, ModeTerm
-from .qseries import (QSeries, eisenstein_E4, eisenstein_E6, eta_series,
-                      euler_product, j_series, theta_series)
+from .qseries import (QSeries, eisenstein_E2, eisenstein_E4, eisenstein_E6,
+                      eta_series, euler_product, j_series, theta_series)
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +80,9 @@ def _fd_terms_needed() -> int:
 @lru_cache(maxsize=8)
 def _pentagonal(gmax: int) -> tuple:
     """(g, sign) for the generalized pentagonal numbers 0 < g <= gmax in
-    increasing order: prod (1 - q^n) = 1 + sum sign q^g (Euler)."""
-    pents = []
-    k = 1
-    while k * (3 * k - 1) // 2 <= gmax:
-        sign = -1 if k % 2 else 1
-        pents += [(g, sign) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
-                  if g <= gmax]
-        k += 1
-    return tuple(sorted(pents))
+    increasing order: prod (1 - q^n) = 1 + sum sign q^g (Euler), read from
+    the support of euler_product."""
+    return tuple(euler_product(gmax).support()[1:])
 
 
 @lru_cache(maxsize=8)
@@ -140,18 +134,6 @@ def E4_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
 
 def E6_eval(tau, ctx: PrecisionContext = DEFAULT_CTX):
     return _eis_eval(tau, 6, ctx)
-
-
-def j_eval(tau, ctx: PrecisionContext = DEFAULT_CTX, method: str = "delta"):
-    """Klein j; 'delta' uses E4^3/eta^24, 'e6' uses 1728 E4^3/(E4^3 - E6^2)."""
-    with mp.workdps(ctx.digits + 10):
-        e4 = E4_eval(tau, ctx)
-        if method == "delta":
-            return +(e4 ** 3 / eta_eval(tau, ctx) ** 24)
-        if method == "e6":
-            e6 = E6_eval(tau, ctx)
-            return +(1728 * e4 ** 3 / (e4 ** 3 - e6 ** 2))
-    raise ValueError("method must be 'delta' or 'e6'")
 
 
 # f|W_e = mu(e) f for the Atkin-Lehner involutions W_e, e | 6
@@ -546,11 +528,7 @@ def _gd_seed_build(trunc: int):
     eta4_6 = (euler_product(t4) ** 6).scale_arg(4).shift(1)
     g1 = -1 * _sigma_twist(theta * E4_4 * eta4_6.inverse())
 
-    sig1 = [0] * t4
-    for dd in range(1, t4):
-        for mmul in range(dd, t4, dd):
-            sig1[mmul] += dd
-    E2_4 = QSeries(1, 0, [1] + [-24 * s for s in sig1[1:]], t4 - 1).scale_arg(4)
+    E2_4 = eisenstein_E2(t4 - 1).scale_arg(4)
     D4inv = ((euler_product(t4) ** 24).scale_arg(4).shift(4)).inverse()
     j4 = j_series(t4 - 1).scale_arg(4)
 
@@ -584,7 +562,7 @@ def _gd_check(d: int, g: QSeries) -> None:
     support, integrality."""
     if [(k, c) for k, c in g.support() if k < 0] != [(-d, 1)]:
         raise ArithmeticError(f"g_{d}: principal part is not q^-{d}")
-    expect0 = -2 if math.isqrt(d) ** 2 == d else 0
+    expect0 = -2 if is_square(d) else 0
     if g.coeff(0) != expect0:
         raise ArithmeticError(f"g_{d}: constant term {g.coeff(0)} != {expect0}")
     bad = [(k, c) for k, c in g.support() if k % 4 in (1, 2)]

@@ -13,8 +13,6 @@ import json
 import math
 from fractions import Fraction
 
-from mpmath import mp
-
 
 class QSeries:
     __slots__ = ("denom", "lo", "coeffs", "trunc")
@@ -189,41 +187,12 @@ class QSeries:
                   for k, c in zip(range(self.lo, self.trunc + 1), self.coeffs)]
         return QSeries(self.denom, self.lo, coeffs, self.trunc)
 
-    # -- numerics ------------------------------------------------------------
-
-    def eval(self, tau):
-        """Pointwise sum at tau (current mpmath precision)."""
-        w = mp.expjpi(2 * tau / self.denom)
-        total = mp.mpc(0)
-        power = w ** self.lo
-        for c in self.coeffs:
-            if c:
-                if isinstance(c, Fraction):
-                    total += mp.mpf(c.numerator) / c.denominator * power
-                else:
-                    total += c * power
-            power *= w
-        return total
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:
         terms = [[k, str(c)] for k, c in self.support()]
         return json.dumps({"denom": self.denom, "trunc": self.trunc,
                            "terms": terms})
-
-    @classmethod
-    def from_json(cls, blob: str) -> "QSeries":
-        data = json.loads(blob)
-        terms = data["terms"]
-        if not terms:
-            return cls(data["denom"], 0, [0], data["trunc"])
-        lo = min(k for k, _ in terms)
-        coeffs = [0] * (data["trunc"] - lo + 1)
-        for k, cs in terms:
-            frac = Fraction(cs)
-            coeffs[k - lo] = int(frac) if frac.denominator == 1 else frac
-        return cls(data["denom"], lo, coeffs, data["trunc"])
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +235,11 @@ def _divisor_power_sigma(trunc: int, power: int):
         for m in range(d, trunc + 1, d):
             sig[m] += dp
     return sig
+
+
+def eisenstein_E2(trunc: int) -> QSeries:
+    sig = _divisor_power_sigma(trunc, 1)
+    return QSeries(1, 0, [1] + [-24 * s for s in sig[1:]], trunc)
 
 
 def eisenstein_E4(trunc: int) -> QSeries:

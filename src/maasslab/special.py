@@ -1,6 +1,6 @@
 """Arbitrary-precision special functions: the normalized incomplete gamma
-ratio beta_k, the alpha kernel, Bessel J/I/K, Whittaker M/W evaluated from
-an integral representation with s-derivatives, and the normalizing factors
+ratio beta_k, the alpha kernel, Whittaker W from an integral representation
+with its s-derivative at s = 3/4, Whittaker M, and the normalizing factors
 c(s), c'(s).
 
 beta_k exists for k = 1/2 and k = 3/2 only, both in closed form:
@@ -66,14 +66,6 @@ def beta_k(k, y, ctx: PrecisionContext = DEFAULT_CTX):
             root = mp.sqrt(y)
             val = mp.erfc(root) - mp.exp(-y) / (mp.sqrt(mp.pi) * root)
         return +val
-
-
-def erfc_quadrature(x, ctx: PrecisionContext = DEFAULT_CTX):
-    """Independent erfc oracle: (2/sqrt(pi)) int_x^infty e^{-t^2} dt."""
-    with mp.workdps(ctx.digits + 15):
-        x = _as_mpf(x)
-        val = mp.quad(lambda t: mp.e ** (-t * t), [x, x + 2, x + 10, mp.inf])
-        return +(2 / mp.sqrt(mp.pi) * val)
 
 
 # ---------------------------------------------------------------------------
@@ -199,26 +191,6 @@ def _alpha_trapezoid(y, ctx: PrecisionContext):
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions
-# ---------------------------------------------------------------------------
-
-def bessel(kind: str, nu, x, ctx: PrecisionContext = DEFAULT_CTX):
-    """J/I/K Bessel values at positive real argument."""
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    with mp.workdps(ctx.digits + 10):
-        x = _as_mpf(x)
-        nu = _as_mpf(nu)
-        if kind == "J":
-            return +mp.besselj(nu, x)
-        if kind == "I":
-            return +mp.besseli(nu, x)
-        if kind == "K":
-            return +mp.besselk(nu, x)
-    raise ValueError("kind must be one of J, I, K")
-
-
-# ---------------------------------------------------------------------------
 # Whittaker functions
 # ---------------------------------------------------------------------------
 
@@ -247,10 +219,9 @@ def _whittaker_W_integral(kappa, s, y, log_weight: bool = False):
     return y ** s * mp.e ** (-y / 2) / mp.gamma(s - kappa) * val
 
 
-def whittaker_Wn(n: int, y, s, ctx: PrecisionContext = DEFAULT_CTX,
-                 method: str = "integral"):
+def whittaker_Wn(n: int, y, s, ctx: PrecisionContext = DEFAULT_CTX):
     """W-Whittaker package (pi |n| y / 6)^{-1/4} W_{sgn(n)/4, s-1/2}(pi|n|y/6)
-    for indices n = 1 mod 24."""
+    for indices n = 1 mod 24, from the integral representation."""
     if y <= 0:
         raise ValueError("argument must be positive")
     if n == 0:
@@ -259,12 +230,7 @@ def whittaker_Wn(n: int, y, s, ctx: PrecisionContext = DEFAULT_CTX,
         s = _as_mpf(s)
         u = mp.pi * abs(n) * _as_mpf(y) / 6
         kappa = mp.mpf(1) / 4 if n > 0 else -mp.mpf(1) / 4
-        if method == "integral":
-            w = _whittaker_W_integral(kappa, s, u)
-        elif method == "series":
-            w = mp.whitw(kappa, s - mp.mpf(1) / 2, u)
-        else:
-            raise ValueError("method must be 'integral' or 'series'")
+        w = _whittaker_W_integral(kappa, s, u)
         return +(u ** (-mp.mpf(1) / 4) * w)
 
 
@@ -276,22 +242,11 @@ def richardson(diffs, h):
     return [(4 * b - a) / 3 for a, b in zip(coarse, fine)]
 
 
-def whittaker_Wn_ds(n: int, y, s=None, ctx: PrecisionContext = DEFAULT_CTX,
-                    method: str = "analytic"):
-    """d/ds of whittaker_Wn at s (default 3/4).
-
-    'analytic' differentiates the integral representation under the integral
-    sign; 'fd' is a central difference with step 1e-6 and one Richardson
-    level."""
+def whittaker_Wn_ds(n: int, y, ctx: PrecisionContext = DEFAULT_CTX):
+    """d/ds of whittaker_Wn at s = 3/4, differentiating the integral
+    representation under the integral sign."""
     with mp.workdps(ctx.digits + 15):
-        s = mp.mpf(3) / 4 if s is None else _as_mpf(s)
-        if method == "fd":
-            def diff(h):
-                return ((whittaker_Wn(n, y, s + h, ctx)
-                         - whittaker_Wn(n, y, s - h, ctx)) / (2 * h),)
-
-            d, = richardson(diff, mp.mpf("1e-6"))
-            return +d
+        s = mp.mpf(3) / 4
         u = mp.pi * abs(n) * _as_mpf(y) / 6
         kappa = mp.mpf(1) / 4 if n > 0 else -mp.mpf(1) / 4
         w = _whittaker_W_integral(kappa, s, u)
@@ -300,27 +255,7 @@ def whittaker_Wn_ds(n: int, y, s=None, ctx: PrecisionContext = DEFAULT_CTX,
         return +(u ** (-mp.mpf(1) / 4) * dW)
 
 
-def _kummer_M(kappa, mu, z, ctx: PrecisionContext):
-    """M_{kappa,mu}(z) by the defining Kummer series (oracle path)."""
-    a = mu - kappa + mp.mpf(1) / 2
-    b = 2 * mu + 1
-    total = mp.mpf(1)
-    term = mp.mpf(1)
-    j = 0
-    target = mp.mpf(10) ** (-(ctx.digits + 10))
-    while True:
-        term *= (a + j) * z / ((b + j) * (j + 1))
-        total += term
-        j += 1
-        if abs(term) < target * max(1, abs(total)) and j > abs(z):
-            break
-        if j > 100_000:
-            raise ArithmeticError("Kummer series did not converge")
-    return mp.e ** (-z / 2) * z ** (mu + mp.mpf(1) / 2) * total
-
-
-def whittaker_M(y, s, ctx: PrecisionContext = DEFAULT_CTX,
-                method: str = "series"):
+def whittaker_M(y, s, ctx: PrecisionContext = DEFAULT_CTX):
     """M-Whittaker package (pi y/6)^{-1/4} M_{1/4, s-1/2}(pi y / 6).
 
     At s = 3/4 this equals -(i sqrt(pi)/2)(1 - beta_{1/2}(-pi y/6)) e^{-pi y/12}."""
@@ -329,12 +264,7 @@ def whittaker_M(y, s, ctx: PrecisionContext = DEFAULT_CTX,
     with mp.workdps(ctx.digits + 15):
         s = _as_mpf(s)
         u = mp.pi * _as_mpf(y) / 6
-        if method == "series":
-            w = mp.whitm(mp.mpf(1) / 4, s - mp.mpf(1) / 2, u)
-        elif method == "kummer":
-            w = _kummer_M(mp.mpf(1) / 4, s - mp.mpf(1) / 2, u, ctx)
-        else:
-            raise ValueError("method must be 'series' or 'kummer'")
+        w = mp.whitm(mp.mpf(1) / 4, s - mp.mpf(1) / 2, u)
         return +(u ** (-mp.mpf(1) / 4) * w)
 
 

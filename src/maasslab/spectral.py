@@ -19,12 +19,12 @@ from mpmath import mp
 
 from .classnum import hstar
 from .context import DEFAULT_CTX, PrecisionContext
-from .exact import (chi12, chi12_sqrt, is_square, kloosterman_table,
-                    trace_cm_exact)
+from .exact import (UnitRoot24, chi12, chi12_sqrt, is_square,
+                    kloosterman_table, trace_cm_exact)
 from .harmonic import HarmonicExpansion, ModeTerm
 from .matrices import GroupElement
 from .special import c_factor, richardson
-from .traces import trace_cycle, trace_square
+from .traces import trace_square
 
 
 @dataclass(frozen=True)
@@ -219,14 +219,12 @@ def pole_finite_part(n: int, c_max: int = 10_000,
     return _pole_grid(n, c_max, ctx, table, residue=False)
 
 
-def finite_part_prediction(n: int, ctx: PrecisionContext = DEFAULT_CTX,
-                           tr=None):
+def finite_part_prediction(n: int, ctx: PrecisionContext = DEFAULT_CTX):
     """(2 pi/sqrt n) chi12(sqrt n) h*(n) + (pi/6) Tr_n(f) for square n."""
     with mp.workdps(ctx.digits + 10):
         chi = chi12_sqrt(n)
-        trv = tr if tr is not None else trace_square(n, ctx).value
         return +(2 * mp.pi / mp.sqrt(n) * chi * hstar(n, ctx)
-                 + mp.pi / 6 * trv)
+                 + mp.pi / 6 * trace_square(n, ctx).value)
 
 
 # ---------------------------------------------------------------------------
@@ -234,29 +232,26 @@ def finite_part_prediction(n: int, ctx: PrecisionContext = DEFAULT_CTX,
 # ---------------------------------------------------------------------------
 
 def build_trace_table(n_max: int, ctx: PrecisionContext = DEFAULT_CTX,
-                      fast: bool = True, c_max: int = 4000,
-                      square_digits: int = 30):
-    """Tr_n(f) for 0 < n <= n_max, n = 1 mod 24: geodesic quadrature for
-    squares, Kloosterman series (fast) or geodesic quadrature for the rest."""
+                      c_max: int = 4000):
+    """Tr_n(f) for 0 < n <= n_max, n = 1 mod 24, as {n: (value, err_est)}:
+    regularized ray integrals at min(ctx.digits, 30) digits for squares, the
+    Kloosterman series cut at c_max for the rest."""
     table = {}
     ms = tuple((1 - n) // 24 for n in range(1, n_max + 1) if n % 24 == 1)
-    ktab = kloosterman_table(c_max, ms) if fast else None
-    sq_ctx = ctx if ctx.digits <= square_digits else ctx.with_digits(square_digits)
+    ktab = kloosterman_table(c_max, ms)
+    sq_ctx = ctx.with_digits(min(ctx.digits, 30))
     for n in range(1, n_max + 1):
         if n % 24 != 1:
             continue
         if is_square(n):
             tv = trace_square(n, sq_ctx)
             table[n] = (tv.value, tv.err_est)
-        elif fast:
-            table[n] = trace_cycle_kloosterman(n, c_max, ctx, ktab)
         else:
-            tv = trace_cycle(n, ctx)
-            table[n] = (tv.value, tv.err_est)
+            table[n] = trace_cycle_kloosterman(n, c_max, ctx, ktab)
     return table
 
 
-def assemble_H(n_max: int, traces: dict | None = None,
+def assemble_H(n_max: int, traces: dict,
                ctx: PrecisionContext = DEFAULT_CTX,
                neg_max: int | None = None) -> HarmonicExpansion:
     """The depth-3/2 expansion on the q^{1/24} grid:
@@ -268,8 +263,6 @@ def assemble_H(n_max: int, traces: dict | None = None,
 
     traces must cover every 0 < n <= n_max with n = 1 mod 24 (missing
     entries raise, listing the gaps); negative-index traces are exact."""
-    if traces is None:
-        traces = build_trace_table(n_max, ctx)
     need = [n for n in range(1, n_max + 1) if n % 24 == 1 and n not in traces]
     if need:
         raise ValueError(f"missing precomputed traces for n in {need}")
@@ -373,11 +366,11 @@ def delta_op(fn, k, tau, ctx: PrecisionContext = DEFAULT_CTX):
         return +(-y ** 2 * (xx + yy) + 1j * mp.mpf(k) * y * (dx + 1j * dy))
 
 
-def modularity_residual(fn, gamma: GroupElement, k, multiplier, tau,
+def modularity_residual(fn, gamma: GroupElement, k, multiplier: UnitRoot24, tau,
                         ctx: PrecisionContext = DEFAULT_CTX):
-    """|f(g tau) - nu(g) (c tau + d)^k f(tau)| with the principal branch."""
+    """|f(g tau) - nu(g) (c tau + d)^k f(tau)| with the principal branch, nu
+    the multiplier's value."""
     with mp.workdps(ctx.digits + 10):
         tau = mp.mpc(tau)
-        nu = multiplier.value() if hasattr(multiplier, "value") else mp.mpc(multiplier)
-        auto = nu * (gamma.c * tau + gamma.d) ** mp.mpf(k)
+        auto = multiplier.value() * (gamma.c * tau + gamma.d) ** mp.mpf(k)
         return +abs(fn(gamma.apply(tau)) - auto * fn(tau))

@@ -20,8 +20,8 @@ from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_exp, to_fixed
 
-from .bqf import (BQF, ClassSet, automorph, cm_point, enumerate_classes,
-                  geodesic_data, sl2_class_key, w6_reflection, w6_sigma)
+from .bqf import (BQF, automorph, cm_point, enumerate_classes, geodesic_data,
+                  sl2_class_key, w6_reflection, w6_sigma)
 from .context import DEFAULT_CTX, PrecisionContext
 from .exact import chi12_sqrt, is_square
 from .matrices import GroupElement, atkin_lehner
@@ -40,15 +40,13 @@ class TraceValue:
 # CM regime
 # ---------------------------------------------------------------------------
 
-def trace_cm(n: int, ctx: PrecisionContext = DEFAULT_CTX,
-             classes: ClassSet | None = None) -> TraceValue:
+def trace_cm(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> TraceValue:
     """Tr_n(f) = sum of f over the CM points of Gamma0(6)\\Q_n, n < 0."""
     if n >= 0 or n % 24 != 1:
         raise ValueError("CM trace needs n < 0, n = 1 mod 24")
-    cs = classes if classes is not None else enumerate_classes(n)
     with mp.workdps(ctx.digits + 10):
         total = mp.mpf(0)
-        for Q in cs.reps:
+        for Q in enumerate_classes(n).reps:
             total += f_eval(cm_point(Q), ctx).real
         err = mp.mpf(10) ** (-ctx.digits + 6) * (1 + abs(total))
         return TraceValue(n, +total, "cm", +err)
@@ -174,8 +172,7 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
                           f"by {nodes} nodes")
 
 
-def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
-                classes: ClassSet | None = None) -> TraceValue:
+def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> TraceValue:
     """(1/2pi) sum over classes of the cycle integral, n > 0 non-square.
 
     sigma Q = -W_6 Q = [-6c, b, -a/6] maps Q_n onto itself and normalizes
@@ -192,7 +189,7 @@ def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX,
         raise ValueError("cycle trace needs n > 0, n = 1 mod 24")
     if is_square(n):
         raise ValueError("square index: use trace_square")
-    cs = classes if classes is not None else enumerate_classes(n)
+    cs = enumerate_classes(n)
     todo = {key: Q for Q, key in sorted(zip(cs.reps, cs.keys),
                                         key=lambda rep: rep[0].as_tuple())}
     with mp.workdps(ctx.digits + 10):
@@ -291,25 +288,6 @@ def _damp_guard_digits(y) -> int:
     """Extra digits absorbing the e^{2 pi y} cancellation between the
     exponentially growing cusp terms of f and the subtracted seeds."""
     return int(2 * mp.pi / mp.log(10) * max(float(y), 1.0)) + 10
-
-
-def damp_fQ(tau, Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
-    """f_Q(tau) = f(tau) - 12 - sum_i mu(r_i) [e(-sigma_i tau) - e(-conj)].
-
-    The subtracted exponentials are the two Poincare-series terms indexed by
-    the cusps of Q; at the spectral point the seed is phi(y) = 2 sinh(2 pi y)
-    so each term is e(-w) e^{2 pi v} - e(-w) e^{-2 pi v} at w + iv = sigma tau."""
-    if not is_square(Q.disc()):
-        raise ValueError("dampening is defined for square discriminants")
-    guard = _damp_guard_digits(mp.mpc(tau).imag)
-    inner = PrecisionContext(digits=ctx.digits + guard)
-    with mp.workdps(inner.digits + 10):
-        tau = mp.mpc(tau)
-        val = f_eval(tau, inner) - 12
-        for mu, sigma in _damp_sigmas(Q):
-            st = sigma.apply(tau)
-            val -= mu * (mp.expjpi(-2 * st) - mp.expjpi(-2 * mp.conj(st)))
-        return +val
 
 
 def _ray_seed(sigma: GroupElement, x0, cusp: Fraction):

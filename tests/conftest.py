@@ -65,10 +65,9 @@ def ktable():
 
 @pytest.fixture(scope="session")
 def trace_table(ctx30, ktable):
-    """Tr_n(f) for 0 < n <= 361: squares by regularized quadrature,
-    the rest through the Kloosterman series."""
-    return build_trace_table(N_MAX_H, ctx30, fast=True, c_max=4000,
-                             square_digits=25)
+    """Tr_n(f) for 0 < n <= 361: squares by regularized quadrature (at
+    30 digits), the rest through the Kloosterman series."""
+    return build_trace_table(N_MAX_H, ctx30, c_max=4000)
 
 
 @pytest.fixture(scope="session")

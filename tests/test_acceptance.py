@@ -23,9 +23,9 @@ from maasslab.modforms import (F_expansion, eta_eval, f_qexp, gd_construct,
 from maasslab.spectral import (assemble_H, coeff_a, delta_op,
                                finite_part_prediction, modularity_residual,
                                pole_finite_part, pole_residue, xi_op)
-from maasslab.special import (alpha, beta_k, c_factor, cprime_factor,
-                              erfc_quadrature, whittaker_Wn, whittaker_Wn_ds)
+from maasslab.special import alpha, beta_k, c_factor, cprime_factor, whittaker_Wn
 from maasslab.traces import trace_cm, trace_cycle
+from support import erfc_quadrature, whittaker_Wn_ds_fd
 
 CTX60 = PrecisionContext(digits=60)
 
@@ -83,14 +83,14 @@ def test_criterion3_kloosterman_geometry(ctx30, ktable):
                   f"(both < 1e-2), {elapsed:.0f}s (< 300s)")
 
 
-def test_criterion4_square_pole_structure(ctx30, ktable, trace_table):
+def test_criterion4_square_pole_structure(ctx30, ktable):
     lines = []
     ok = True
     for n in (1, 25):
         res, spread = pole_residue(n, 10_000, ctx30, ktable)
         ok &= abs(res - chi12_sqrt(n)) < mp.mpf("1e-3")
         fp, fp_spread = pole_finite_part(n, 10_000, ctx30, ktable)
-        pred = finite_part_prediction(n, ctx30, tr=trace_table[n][0])
+        pred = finite_part_prediction(n, ctx30)
         ok &= abs(fp - pred) < mp.mpf("1e-2")
         lines.append(f"n={n}: residue err {mp.nstr(abs(res - chi12_sqrt(n)), 2)} "
                      f"(spread {mp.nstr(spread, 2)}), finite-part err "
@@ -137,7 +137,7 @@ def test_criterion6_modularity(ctx30, H_full):
 
 
 def test_criterion7_level1_nonsquare(ctx30, trace_table, H_full):
-    closed = ip_level1_closed(73, ctx30, tr_d=trace_table[73][0])
+    closed = ip_level1_closed(73, ctx30, traces=trace_table)
     numeric = ip_level1_numeric(73, 10, ctx30, hexp=H_full)
     err = abs(closed - numeric)
     ok = err < mp.mpf("1e-6")
@@ -153,8 +153,7 @@ def test_criterion7_level1_square_d25(ctx30, trace_table, H_full):
     terms; at Y = 8 that is 3.8e-2, so the stated tolerance cannot be met at
     this height (alpha(Y/6) decays only like 1/Y).  Kept at the nominal tolerance
     on purpose -- see the companion limit test below."""
-    closed = ip_level1_closed(25, ctx30, tr_d=trace_table[25][0],
-                              tr_1=trace_table[1][0])
+    closed = ip_level1_closed(25, ctx30, traces=trace_table)
     numeric = ip_level1_numeric(25, 8, ctx30, hexp=H_full)
     err = abs(closed - numeric)
     gap = mp.sqrt(24) * abs(alpha(mp.mpf(200) / 6, ctx30)
@@ -176,7 +175,7 @@ def test_criterion7_level1_square_d25_limit(trace_table):
     traces = {25: trace_table[25], 1: trace_table[1]}
     ctx_hi = PrecisionContext(digits=200)
     H = assemble_H(25, traces=traces, ctx=ctx_hi, neg_max=24 * 8 - 1)
-    closed = ip_level1_closed(25, ctx_hi, tr_d=traces[25][0], tr_1=traces[1][0])
+    closed = ip_level1_closed(25, ctx_hi, traces=traces)
     numeric = ip_level1_numeric(25, 480, ctx_hi, hexp=H)
     err = abs(closed - numeric)
     ok = err < mp.mpf("1e-3")
@@ -219,7 +218,7 @@ def test_criterion8_special_functions():
     ok &= abs(cprime_factor(mp.mpf(3) / 4, CTX60) - 4 * mp.pi / 3) < mp.mpf("1e-50")
     worst = mp.mpf(0)
     for n, y in ((1, 2), (1, 3), (25, 1)):
-        fd = whittaker_Wn_ds(n, y, ctx=CTX60, method="fd")
+        fd = whittaker_Wn_ds_fd(n, y, ctx=CTX60)
         target = 4 * mp.pi * mp.e ** (-mp.pi * n * y / 12) \
             * alpha(mp.mpf(n) * y / 6, CTX60)
         worst = max(worst, abs(fd - target))
@@ -228,12 +227,12 @@ def test_criterion8_special_functions():
                          f"dW/ds finite-difference err {mp.nstr(worst, 2)} (< 1e-8)")
 
 
-def test_criterion9_exponential_sums(ktable):
+def test_criterion9_exponential_sums():
     t0 = time.time()
     ms = tuple(range(-5, 6))
-    worst = float(lehmer_ratios(2000, ms, ktable).max())
+    worst = float(lehmer_ratios(2000, ms).max())
     ok = worst <= 1 + 1e-9
-    S = partial_sum_S(25, 10_000, ktable)
+    S = partial_sum_S(25, 10_000)
     # chi12(sqrt 25) = -1: the main term of S(n,x) carries that sign
     main = chi12_sqrt(25) * 12 * mp.sqrt(3) / mp.pi ** 2 * 100
     ratio = S / main

@@ -11,8 +11,8 @@ from maasslab.bqf import (BQF, act, automorph, class_number, cm_point,
                           reduced_definite_forms, sl2_class_key,
                           square_class_reps, w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
-from maasslab.matrices import IDENTITY, atkin_lehner, projectively_equal
-from support import gamma06_equivalent
+from maasslab.matrices import IDENTITY, atkin_lehner
+from support import gamma06_equivalent, projectively_equal
 
 CTX = PrecisionContext(digits=40)
 
@@ -161,24 +161,23 @@ class TestGeodesics:
         # W6 sends 0 to oo directly
         assert atkin_lehner(6).apply_cusp(Fraction(0)) == "oo"
 
-    def test_nonsquare_endpoints(self):
-        Q = enumerate_classes(73).reps[0]
-        geo = geodesic_data(Q)
-        assert geo.center == Fraction(-Q.b, 2 * Q.a)
-        assert geo.radius2 == Fraction(73, 4 * Q.a * Q.a)
-
     def test_square_normalizer_exact_identity(self):
         # gamma_i W_{r_i} a_i = oo as an exact identity for the n = 25 forms
         for Q in enumerate_classes(25).reps:
             geo = geodesic_data(Q)
             for (r, g), cusp in zip(geo.cusp_normalizers, geo.cusps):
-                assert g.in_gamma0(6)
+                assert g.scale == 1 and g.c % 6 == 0
                 sigma = g @ atkin_lehner(r)
                 assert sigma.apply_cusp(cusp) == "oo"
 
     def test_rejects_definite(self):
         with pytest.raises(ValueError):
             geodesic_data(BQF(6, 1, 1))
+
+    def test_rejects_nonsquare(self):
+        # cycle integrals take their centre and radius from the form itself
+        with pytest.raises(ValueError):
+            geodesic_data(enumerate_classes(73).reps[0])
 
 
 def test_pairwise_inequivalence():
@@ -220,7 +219,7 @@ class TestW6Reflection:
         image = []
         for Q in reps:
             sQ = w6_sigma(Q)
-            assert sQ.in_Qn() and sQ.disc() == Q.disc()
+            assert sQ.a % 6 == 0 and sQ.b % 12 == 1 and sQ.disc() == Q.disc()
             hits = [j for j, R in enumerate(reps) if gamma06_equivalent(sQ, R)]
             assert len(hits) == 1, Q
             image.append(hits[0])

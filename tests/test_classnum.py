@@ -5,8 +5,9 @@ from mpmath import mp
 
 from maasslab import classnum
 from maasslab.bqf import class_number, fundamental_unit
-from maasslab.classnum import hstar, hstar_square_direct, hurwitz_H, regulator
+from maasslab.classnum import hstar, hurwitz_H, regulator
 from maasslab.context import PrecisionContext
+from support import hstar_square_direct
 
 CTX = PrecisionContext(digits=45)
 

@@ -196,3 +196,32 @@ def test_innerprod_level1_honours_c_max(capsys):
         assert doc["config"]["c_max"] == int(c_max)
         numeric[c_max] = doc["values"]["numeric"]
     assert numeric["500"] != numeric["2000"]
+
+
+KLOOSTERMAN_7_2 = (
+    '{"command": "kloosterman", "config": {"Y": 8.0, "c_max": 10000, "digits": 60, '
+    '"n_max": 121, "version": "0.1.0"}, "err_est": "7.0e-60", "inputs": {"c": 7, '
+    '"m": 2}, "values": {"A": "(1.17747010550847202079751474071 - '
+    '4.9530272998584923377539557997e-71j)"}}\n')
+
+
+def test_kloosterman_golden(capsys, monkeypatch):
+    # recorded before the Dedekind-sum switch left exact.kloosterman_A
+    monkeypatch.delenv("MAASSLAB_DIGITS", raising=False)
+    code, out = run_cli(capsys, "kloosterman", "--c", "7", "--m", "2", "--no-timing")
+    assert code == 0
+    assert out == KLOOSTERMAN_7_2
+
+
+def test_kloosterman_has_no_method_flag(capsys):
+    code, _ = run_cli(capsys, "--no-timing", "kloosterman", "--c", "7", "--m", "2",
+                      "--method", "direct")
+    assert code == 2
+
+
+def test_innerprod_level1_bad_index_exit2(capsys):
+    # the trace table built for d = 26 has no Tr_26; the index is rejected first
+    code, out = run_cli(capsys, "--no-timing", "--digits", "25", "--c-max", "500",
+                        "innerprod", "level1", "--d", "26")
+    assert code == 2
+    assert "1 mod 24" in json.loads(out)["error"]

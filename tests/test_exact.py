@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from maasslab.exact import (_eta_phase, _spt_list, _units, chi12, chi12_sqrt,
-                            dedekind_sum, dedekind_sum_direct, eta_multiplier,
-                            kloosterman_A, kloosterman_K_eta, kloosterman_k,
+                            dedekind_sum, eta_multiplier, kloosterman_A,
                             kloosterman_table, kronecker_symbol, lehmer_ratios,
-                            omega0, partial_sum_S, partition_p, partition_p_enum,
-                            s_coeff, spt, spt_enum, trace_cm_exact)
+                            omega0, partial_sum_S, partition_p, s_coeff, spt,
+                            trace_cm_exact)
 from maasslab.context import PrecisionContext
 from maasslab.matrices import IDENTITY, S_MAT, T_power
+from support import (dedekind_sum_direct, kloosterman_A_direct, kloosterman_K_eta,
+                     kloosterman_k, partition_p_enum, spt_enum)
 
 CTX = PrecisionContext(digits=40)
 
@@ -127,8 +128,8 @@ class TestKloosterman:
 
     def test_direct_equals_fast(self):
         for c, m in [(7, 1), (12, -1), (24, 2), (35, 0)]:
-            a = kloosterman_A(c, m, CTX, method="fast")
-            b = kloosterman_A(c, m, CTX, method="direct")
+            a = kloosterman_A(c, m, CTX)
+            b = kloosterman_A_direct(c, m, CTX)
             assert abs(a - b) < mp.mpf("1e-35")
 
     def test_K_eta_relation(self):
@@ -144,8 +145,8 @@ class TestKloosterman:
             assert abs(kloosterman_k(0, 0, c, CTX) - phi) < mp.mpf("1e-35")
         assert abs(kloosterman_k(1, 1, 2, CTX) - 1) < mp.mpf("1e-35")
 
-    def test_lehmer_bound_small(self, ktable):
-        ratios = lehmer_ratios(500, (0, 1, -1, 2, -2), ktable)
+    def test_lehmer_bound_small(self):
+        ratios = lehmer_ratios(500, (0, 1, -1, 2, -2))
         assert float(ratios.max()) <= 1 + 1e-9
 
     def test_scan_matches_all_residue_scan(self):
@@ -171,15 +172,6 @@ class TestKloosterman:
 
     def test_table_of_no_m_is_empty(self):
         assert kloosterman_table(50, ()) == {}
-
-    def test_lehmer_ratios_rescan_a_short_table(self):
-        ms = (0, 1, -1)
-        short = kloosterman_table(100, ms)
-        ratios = lehmer_ratios(300, ms, short)
-        assert len(ratios) == 301
-        assert np.array_equal(ratios, lehmer_ratios(300, ms))
-        assert np.array_equal(lehmer_ratios(300, ms + (2,), short),
-                              lehmer_ratios(300, ms + (2,)))
 
     def test_full_table_matches_all_residue_scan(self, ktable):
         ms = tuple(ktable)
@@ -229,17 +221,17 @@ class TestKloosterman:
 
 
 class TestPartialSumS:
-    def test_only_c1(self, ktable):
-        assert partial_sum_S(25, 1, ktable) == 1.0
-        assert partial_sum_S(-23, 1, ktable) == 1.0
+    def test_only_c1(self):
+        assert partial_sum_S(25, 1) == 1.0
+        assert partial_sum_S(-23, 1) == 1.0
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
             partial_sum_S(2, 10)
 
-    def test_nonsquare_fluctuation_bounded(self, ktable):
+    def test_nonsquare_fluctuation_bounded(self):
         # chi12(sqrt 73) = 0: no main term, S(73,x) = O(x^{1/4})
-        val = partial_sum_S(73, 10_000, ktable)
+        val = partial_sum_S(73, 10_000)
         assert abs(val) < 2.0 * 10_000 ** 0.25
 
 

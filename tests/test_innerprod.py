@@ -9,24 +9,23 @@ from maasslab import special
 from maasslab.classnum import hstar, hurwitz_H
 from maasslab.exact import chi12_sqrt
 from maasslab.harmonic import pair_on_horizontal
-from maasslab.innerprod import (NEG_DEPTH, counterterm_integral, ip_level1_closed,
-                                ip_level1_numeric, ip_level4,
+from maasslab.innerprod import (NEG_DEPTH, counterterm_integral, ip_level1,
+                                ip_level1_closed, ip_level1_numeric, ip_level4,
                                 ip_level4_closed, ip_level4_numeric,
                                 ip_level4_quad2d_value, plain_reg_closed,
                                 vec_pairing_level4)
 from maasslab.modforms import gd_construct, hd_construct
 from maasslab.special import alpha, beta_k
-from maasslab.spectral import assemble_Z
+from maasslab.spectral import assemble_H, assemble_Z
 
 
 class TestLevel1Closed:
     def test_nonsquare_is_minus_trace(self, ctx30, trace_table):
-        closed = ip_level1_closed(73, ctx30, tr_d=trace_table[73][0])
+        closed = ip_level1_closed(73, ctx30, traces=trace_table)
         assert abs(mp.sqrt(24) * closed + trace_table[73][0]) < mp.mpf("1e-20")
 
     def test_square_instantiation(self, ctx30, trace_table):
-        closed = ip_level1_closed(25, ctx30, tr_d=trace_table[25][0],
-                                  tr_1=trace_table[1][0])
+        closed = ip_level1_closed(25, ctx30, traces=trace_table)
         # sqrt(24) <h_25,F> = -Tr_25 - (Tr_1 - (48 log 5)/(5 pi) - i)
         expect = (-trace_table[25][0]
                   - (trace_table[1][0] - 48 * mp.log(5) / (5 * mp.pi)
@@ -35,31 +34,55 @@ class TestLevel1Closed:
 
     def test_imaginary_part_bookkeeping(self, ctx30, trace_table):
         for d in (25, 49, 73):
-            closed = ip_level1_closed(d, ctx30, tr_d=trace_table[d][0],
-                                      tr_1=trace_table[1][0])
+            closed = ip_level1_closed(d, ctx30, traces=trace_table)
             expect_im = chi12_sqrt(d) * mp.mpf(-1) / mp.sqrt(24)
             assert abs(mp.im(closed) - expect_im) < mp.mpf("1e-18")
 
 
 class TestLevel1Numeric:
     def test_d73_matches_closed(self, ctx30, trace_table, H_full):
-        closed = ip_level1_closed(73, ctx30, tr_d=trace_table[73][0])
+        closed = ip_level1_closed(73, ctx30, traces=trace_table)
         numeric = ip_level1_numeric(73, 10, ctx30, hexp=H_full)
         assert abs(closed - numeric) < mp.mpf("1e-6")
 
     def test_d97_matches_closed(self, ctx30, trace_table, H_full):
-        closed = ip_level1_closed(97, ctx30, tr_d=trace_table[97][0])
+        closed = ip_level1_closed(97, ctx30, traces=trace_table)
         numeric = ip_level1_numeric(97, 10, ctx30, hexp=H_full)
         assert abs(closed - numeric) < mp.mpf("1e-6")
 
     def test_plain_integral_converges_for_nonsquare(self, ctx30, trace_table,
                                                     H_full):
         # chi12(sqrt 73) = 0: no counterterms needed at all
-        a = ip_level1_numeric(73, 9, ctx30, hexp=H_full, counterterms=False)
-        b = ip_level1_numeric(73, 12, ctx30, hexp=H_full, counterterms=False)
-        closed = ip_level1_closed(73, ctx30, tr_d=trace_table[73][0])
+        a = ip_level1_numeric(73, 9, ctx30, hexp=H_full)
+        b = ip_level1_numeric(73, 12, ctx30, hexp=H_full)
+        closed = ip_level1_closed(73, ctx30, traces=trace_table)
         assert abs(a - b) < mp.mpf("1e-6")
         assert abs(a - closed) < mp.mpf("1e-6")
+
+    @pytest.mark.parametrize("d", [73, 97])
+    @pytest.mark.parametrize("Y", [9, 12])
+    def test_nonsquare_is_the_plain_pairing(self, ctx30, H_full, d, Y):
+        """For non-square d the counterterm and the beta residual vanish, so
+        the value is the truncated integral -pairing/sqrt(24), bit for bit."""
+        numeric = ip_level1_numeric(d, Y, ctx30, hexp=H_full)
+        with mp.workdps(ctx30.digits + 10):
+            pairing = pair_on_horizontal(hd_construct(d, trunc24=NEG_DEPTH), H_full,
+                                         mp.mpf(Y), ctx30)
+            plain = +(-pairing / mp.sqrt(24))
+        assert numeric._mpc_ == plain._mpc_
+
+    def test_missing_traces_raise(self, ctx30, trace_table):
+        # Tr_d for every d, Tr_1 for square d only; the message names the index
+        for d, gap in ((73, 73), (25, 1)):
+            table = {n: v for n, v in trace_table.items() if n != gap}
+            with pytest.raises(ValueError, match=rf"\[{gap}\]"):
+                ip_level1_closed(d, ctx30, traces=table)
+            with pytest.raises(ValueError, match=rf"\[{gap}\]"):
+                ip_level1(d, 10, ctx30, traces=table)
+        ip_level1_closed(73, ctx30, traces={73: trace_table[73]})
+        short = assemble_H(49, traces=trace_table, ctx=ctx30, neg_max=NEG_DEPTH)
+        with pytest.raises(ValueError, match=r"\[73\]"):
+            ip_level1_numeric(73, 10, ctx30, hexp=short)
 
     def test_d25_gap_is_alpha_terms(self, ctx30, trace_table, H_full):
         """At finite Y the truncated integral differs from the closed value by
@@ -67,8 +90,7 @@ class TestLevel1Numeric:
         that (the Y = 8 discrepancy is 3.8e-2, far above the 1e-3 target of
         the acceptance suite, which is unattainable at this height -- see
         the acceptance suite and the project notes)."""
-        closed = ip_level1_closed(25, ctx30, tr_d=trace_table[25][0],
-                                  tr_1=trace_table[1][0])
+        closed = ip_level1_closed(25, ctx30, traces=trace_table)
         numeric = ip_level1_numeric(25, 8, ctx30, hexp=H_full)
         gap_alpha = mp.sqrt(24) * (alpha(mp.mpf(25 * 8) / 6, ctx30)
                                    - alpha(mp.mpf(8) / 6, ctx30))
@@ -136,7 +158,6 @@ class TestLevel4:
     def test_up_to_Y_structure(self, ctx30):
         """The Y-dependent boundary terms decay/cancel individually: compare
         the raw pairing at two heights against the alpha/beta corrections."""
-        zexp = assemble_Z(28, ctx30)
         d = 1
         closed_hstar = -hstar(d, ctx30) / mp.sqrt(d)
 
@@ -157,7 +178,7 @@ class TestLevel4:
             return val
 
         for Y in (6, 8):
-            pairing = vec_pairing_level4(d, Y, ctx30, zexp)
+            pairing = vec_pairing_level4(d, Y, ctx30)
             assert abs(pairing - predicted(Y)) < mp.mpf("1e-12")
 
     def test_2d_oracle_d5(self, ctx30):
@@ -173,12 +194,6 @@ class TestLevel4:
             ip_level4_closed(7, ctx30)
         with pytest.raises(ValueError):
             ip_level4_numeric(6, 8, ctx30)
-
-    def test_result_json(self, ctx30):
-        r = ip_level4(5, Y=8, ctx=ctx30)
-        import json
-        doc = json.loads(r.to_json())
-        assert doc["d"] == 5 and "discrepancy" in doc
 
 
 def _mpnum(c):

@@ -6,10 +6,10 @@ from mpmath import mp
 from maasslab import special
 from maasslab.context import PrecisionContext
 from maasslab.special import (ALPHA_CLOSED_MAX, _alpha_closed, _alpha_trapezoid,
-                              alpha, bessel, beta_k, c_factor, cprime_factor,
-                              erfc_quadrature, whittaker_M, whittaker_Wn,
-                              whittaker_Wn_ds)
-from support import beta_gammainc, gamma_star
+                              alpha, beta_k, c_factor, cprime_factor,
+                              whittaker_M, whittaker_Wn, whittaker_Wn_ds)
+from support import (beta_gammainc, erfc_quadrature, gamma_star, whittaker_M_kummer,
+                     whittaker_Wn_ds_fd, whittaker_Wn_series)
 
 CTX = PrecisionContext(digits=60)
 
@@ -129,7 +129,7 @@ class TestAlpha:
         # 4 pi alpha(ny/6) e^{-pi n y/12} = d/ds W-package at s = 3/4
         for n, y in ((1, 2), (1, 3)):
             lhs = 4 * mp.pi * alpha(mp.mpf(n) * y / 6, CTX) * mp.e ** (-mp.pi * n * y / 12)
-            rhs = whittaker_Wn_ds(n, y, ctx=CTX, method="analytic")
+            rhs = whittaker_Wn_ds(n, y, ctx=CTX)
             assert abs(lhs - rhs) < mp.mpf("1e-50")
 
     @pytest.mark.parametrize("digits", [30, 60])
@@ -140,7 +140,7 @@ class TestAlpha:
             y = mp.mpf(y)
             with mp.workdps(digits + 20):
                 lhs = 4 * mp.pi * alpha(y, ctx) * mp.e ** (-mp.pi * y / 2)
-                rhs = whittaker_Wn_ds(1, 6 * y, ctx=ctx, method="analytic")
+                rhs = whittaker_Wn_ds(1, 6 * y, ctx=ctx)
                 assert abs(lhs - rhs) <= mp.mpf(10) ** -digits * abs(rhs), y
 
     @pytest.mark.parametrize("digits", [30, 60])
@@ -182,26 +182,6 @@ class TestAlpha:
             assert abs(gap - ref) < mp.mpf("1e-30")
 
 
-class TestBessel:
-    def test_half_integer_closed_forms(self):
-        x = mp.pi
-        assert abs(bessel("J", 0.5, x)) < mp.mpf("1e-55")
-        assert abs(bessel("I", 0.5, 1)
-                   - mp.sqrt(2 / mp.pi) * mp.sinh(1)) < mp.mpf("1e-55")
-        assert abs(bessel("K", 0.5, 2)
-                   - mp.sqrt(mp.pi / 4) * mp.e ** -2) < mp.mpf("1e-55")
-
-    def test_monotonicity(self):
-        ks = [bessel("K", 0.75, x) for x in (1, 2, 4, 8)]
-        assert all(a > b > 0 for a, b in zip(ks, ks[1:]))
-        is_ = [bessel("I", 0.75, x) for x in (1, 2, 4, 8)]
-        assert all(a < b for a, b in zip(is_, is_[1:]))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            bessel("J", 0.5, 0)
-
-
 class TestWhittaker:
     def test_closed_form_positive_index(self):
         v = whittaker_Wn(25, 1, mp.mpf(3) / 4, CTX)
@@ -219,14 +199,14 @@ class TestWhittaker:
             n = random.choice([25, -23, 49, -47, 73, 97])
             y = mp.mpf(random.uniform(0.5, 3.0))
             s = mp.mpf(random.uniform(0.7, 1.0))
-            wi = whittaker_Wn(n, y, s, CTX, method="integral")
-            ws = whittaker_Wn(n, y, s, CTX, method="series")
+            wi = whittaker_Wn(n, y, s, CTX)
+            ws = whittaker_Wn_series(n, y, s, CTX)
             assert abs(wi - ws) < mp.mpf("1e-50")
 
     def test_ds_analytic_vs_fd(self):
         for n, y in ((1, 3), (25, 1)):
-            a = whittaker_Wn_ds(n, y, ctx=CTX, method="analytic")
-            f = whittaker_Wn_ds(n, y, ctx=CTX, method="fd")
+            a = whittaker_Wn_ds(n, y, ctx=CTX)
+            f = whittaker_Wn_ds_fd(n, y, ctx=CTX)
             assert abs(a - f) < mp.mpf("1e-8")
 
     def test_M_closed_form(self):
@@ -239,8 +219,8 @@ class TestWhittaker:
         assert mp.isfinite(whittaker_M(mp.mpf("1e-3"), mp.mpf(3) / 4, CTX))
 
     def test_M_kummer_oracle(self):
-        a = whittaker_M(2, mp.mpf("0.9"), CTX, method="series")
-        b = whittaker_M(2, mp.mpf("0.9"), CTX, method="kummer")
+        a = whittaker_M(2, mp.mpf("0.9"), CTX)
+        b = whittaker_M_kummer(2, mp.mpf("0.9"), CTX)
         assert abs(a - b) < mp.mpf("1e-50")
 
 

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,13 +10,13 @@ from mpmath import mp
 
 import maasslab
 from maasslab.context import PrecisionContext
-from maasslab.exact import (chi12_sqrt, eta_multiplier, kloosterman_k,
-                            trace_cm_exact)
+from maasslab.exact import chi12_sqrt, eta_multiplier, trace_cm_exact
 from maasslab.matrices import S_MAT, T_power
 from maasslab.modforms import F_expansion, eta_eval
 from maasslab.spectral import (assemble_H, assemble_Z, coeff_a, delta_op,
                                modularity_residual, neville_at_zero,
                                pole_finite_part, pole_residue, xi_op)
+from support import kloosterman_k
 
 
 class TestCoeffA:
@@ -94,7 +96,7 @@ class TestConstantTermSimplification:
                 inner = mp.mpf(0)
                 step = 6 // r
                 for c in range(step, 3000, step):
-                    if _gcd(c, r) != 1:
+                    if math.gcd(c, r) != 1:
                         continue
                     rbar = pow(r, -1, c) if c > 1 else 0
                     inner += kloosterman_k(-rbar, 0, c, ctx30).real \
@@ -102,11 +104,6 @@ class TestConstantTermSimplification:
                 lhs += mu[r] * inner
             rhs = 1 / ((2 ** s - 1) * (3 ** s - 1) * mp.zeta(2 * s))
             assert abs(lhs - rhs) < mp.mpf("1e-3")
-
-
-def _gcd(a, b):
-    import math
-    return math.gcd(a, b)
 
 
 class TestAssembly:
@@ -119,7 +116,7 @@ class TestAssembly:
         t = H_full.terms[1]
         assert abs(t.hol - (mp.mpc(0, -1) + trace_table[1][0])) < mp.mpf("1e-18")
         (coeff, scale), = t.beta12
-        assert abs(coeff - mp.mpc(0, 1)) == 0 and scale == -_fr(1, 6)
+        assert abs(coeff - mp.mpc(0, 1)) == 0 and scale == -Fraction(1, 6)
 
     def test_H_square_coefficient_25(self, ctx30, trace_table, H_full):
         # 12 chi12(5)/5 h*(25) = -(48 log 5)/(5 pi) on top of Tr_25
@@ -130,7 +127,7 @@ class TestAssembly:
     def test_H_negative_mode(self, H_full):
         (coeff, scale), = H_full.terms[-23].beta12
         assert abs(coeff - 35 / mp.sqrt(23)) < mp.mpf("1e-18")
-        assert scale == _fr(23, 6)
+        assert scale == Fraction(23, 6)
 
     def test_H_shift_phase(self, ctx30, H_full):
         # H(tau + 1) = e(1/24) H(tau) exactly (all exponents are 1 mod 24)
@@ -157,11 +154,6 @@ class TestAssembly:
         a = assemble_Z(24, ctx30).eval(tau, ctx30)
         b = assemble_Z(48, ctx30).eval(tau, ctx30)
         assert abs(a - b) < mp.mpf("1e-6")
-
-
-def _fr(a, b):
-    from fractions import Fraction
-    return Fraction(a, b)
 
 
 class TestOperators:
