@@ -22,6 +22,7 @@ from mpmath import mp
 
 from .context import DEFAULT_CTX, PrecisionContext
 from .matrices import GroupElement
+from .qseries import euler_product
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +435,17 @@ def partial_sum_S(n: int, x: float) -> float:
 
 @lru_cache(maxsize=4)
 def _partition_list(n_max: int) -> tuple:
-    """p(0..n_max) by the pentagonal-number recurrence."""
-    p = [0] * (n_max + 1)
-    p[0] = 1
+    """p(0..n_max) from prod (1 - q^n) sum p(n) q^n = 1: p(n) = -sum sign
+    p(n - g) over the generalized pentagonal numbers 0 < g <= n, read with
+    their signs from the support of qseries.euler_product."""
+    pent = euler_product(n_max).support()[1:]
+    p = [1] + [0] * n_max
     for n in range(1, n_max + 1):
         total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n:
+        for g, sign in pent:
+            if g > n:
                 break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
+            total -= sign * p[n - g]
         p[n] = total
     return tuple(p)
 

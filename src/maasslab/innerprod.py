@@ -81,8 +81,9 @@ def ip_level1_numeric(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX, *,
     pairing with the depth-3/2 expansion hexp (spectral.assemble_H, with
     neg_max >= NEG_DEPTH) minus the counterterm and the beta_{1/2}(-pi/6)
     residual.  Both vanish for non-square d (chi12(sqrt d) = 0), where the
-    truncated integral converges on its own.  An hexp without the modes
-    that h_d's principal part pairs with raises ValueError."""
+    truncated integral converges on its own, so neither is computed there.
+    An hexp without the modes that h_d's principal part pairs with raises
+    ValueError."""
     if d <= 1 or d % 24 != 1:
         raise ValueError("index must be 1 mod 24 and > 1")
     if Y < 2:
@@ -94,12 +95,12 @@ def ip_level1_numeric(d: int, Y, ctx: PrecisionContext = DEFAULT_CTX, *,
     with mp.workdps(ctx.digits + 10):
         Y = mp.mpf(Y)
         chi = chi12_sqrt(d)
-        pairing = pair_on_horizontal(hd, hexp, Y, ctx)
-        integral_FY = -pairing / mp.sqrt(24)
-        value = (integral_FY
-                 - mp.mpf(chi) / 12 * counterterm_integral(Y, ctx)
-                 - mp.mpc(0, 1) * chi / mp.sqrt(24)
-                 * beta_k(mp.mpf(1) / 2, -(mp.pi / 6), ctx))
+        value = -pair_on_horizontal(hd, hexp, Y, ctx) / mp.sqrt(24)
+        if chi:
+            value = (value
+                     - mp.mpf(chi) / 12 * counterterm_integral(Y, ctx)
+                     - mp.mpc(0, 1) * chi / mp.sqrt(24)
+                     * beta_k(mp.mpf(1) / 2, -(mp.pi / 6), ctx))
         return +value
 
 

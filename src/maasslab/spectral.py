@@ -134,9 +134,8 @@ def coeff_a(n: int, s, c_max: int,
         return CoeffResult(n, +s, +value, pole_subtracted, +err)
 
 
-def trace_cycle_kloosterman(n: int, c_max: int = 4000,
-                            ctx: PrecisionContext = DEFAULT_CTX,
-                            table: dict | None = None):
+def trace_cycle_kloosterman(n: int, c_max: int, ctx: PrecisionContext,
+                            table: dict):
     """Tr_n(f) = (2/sqrt pi) a(n, 3/4) for positive non-square n: the cheap
     route used to build large coefficient tables."""
     res = coeff_a(n, mp.mpf(3) / 4, c_max, ctx, table)
@@ -231,8 +230,7 @@ def finite_part_prediction(n: int, ctx: PrecisionContext = DEFAULT_CTX):
 # Assembly of the two depth-3/2 expansions
 # ---------------------------------------------------------------------------
 
-def build_trace_table(n_max: int, ctx: PrecisionContext = DEFAULT_CTX,
-                      c_max: int = 4000):
+def build_trace_table(n_max: int, ctx: PrecisionContext, c_max: int):
     """Tr_n(f) for 0 < n <= n_max, n = 1 mod 24, as {n: (value, err_est)}:
     regularized ray integrals at min(ctx.digits, 30) digits for squares, the
     Kloosterman series cut at c_max for the rest."""

@@ -20,8 +20,8 @@ from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_exp, to_fixed
 
-from .bqf import (BQF, automorph, cm_point, enumerate_classes, geodesic_data,
-                  sl2_class_key, w6_reflection, w6_sigma)
+from .bqf import (BQF, automorph, cm_point, enumerate_classes, fundamental_unit,
+                  geodesic_data, sl2_class_key, w6_reflection, w6_sigma)
 from .context import DEFAULT_CTX, PrecisionContext
 from .exact import chi12_sqrt, is_square
 from .matrices import GroupElement, atkin_lehner
@@ -62,17 +62,31 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
 
     Parametrized by hyperbolic arc length l from the apex (tan(theta/2) =
     e^l), where the measure is dl / sqrt(n).  The automorph M moves the
-    geodesic by P = 2 acosh(|tr M|/2) = 2 log eps, so l -> f(tau(l)) is
-    analytic and P-periodic and the trapezoid rule converges geometrically
-    (Trefethen-Weideman, SIAM Rev. 56, 2014).  The nodes double from 32,
-    each sum reusing the nodes of the last, until two sums agree to
-    10^-(digits+2) max(1, |I|).  The error estimate is the last difference
-    plus the rounding floor 10^-(digits+5) max(1, |I|) of f, which keeps
-    digits + 5 of its digits at the ends of the geodesic (below): once both
-    sums have settled, their difference falls below the rounding of f.
-    Only the real part is summed: the traces take nothing else.  With the
-    positive measure dl / sqrt(n) over a full period the value does not
-    depend on the orientation of C_Q, so Q and -Q give the same integral.
+    geodesic by P = 2 acosh(|tr M|/2) = 2 log eps_+ (|tr M| = eps_+ +
+    1/eps_+), so l -> f(tau(l)) is analytic and P-periodic and the
+    trapezoid rule converges geometrically (Trefethen-Weideman, SIAM Rev.
+    56, 2014).  The nodes double from 32, each sum reusing the nodes of the
+    last, until two sums agree to 10^-(digits+2) max(1, |I|).  The error
+    estimate is the last difference plus the rounding floor
+    10^-(digits+5) max(1, |I|) of f, which keeps digits + 5 of its digits at
+    the lowest nodes (below): once both sums have settled, their difference
+    falls below the rounding of f.  Only the real part is summed: the traces
+    take nothing else.  With the positive measure dl / sqrt(n) over a full
+    period the value does not depend on the orientation of C_Q, so Q and -Q
+    give the same integral.
+
+    When the fundamental unit eps = (t + u sqrt n)/2 has norm -1
+    (t^2 - n u^2 = -4, bqf.fundamental_unit), N = [[(t - bu)/2, -cu],
+    [au, (t + bu)/2]] has det -1 and fixes both roots of Q, and 6 | au.
+    So tau -> N conj(tau) maps C_Q onto itself, a glide reflection along
+    it by 2 log eps = P/2 (N^2 = +-M, eps^2 = eps_+).  N diag(-1, 1) lies
+    in Gamma0(6) and f has real coefficients, so f(N conj tau) =
+    f(-conj tau) = conj f(tau), and Re f(tau(l + P/2)) = Re f(tau(l)): the
+    summand is P/2-periodic.  The 2m-node trapezoid sum over P is then
+    twice the m-node sum over a window of length P/2, node for node, so
+    the sums, the doubling, the stopping rule and the error estimate are
+    those of the full period, and half the nodes are evaluated.  The
+    window W is [-P/4, P/4) with the glide and [-P/2, P/2) without.
 
     When the class of Q is fixed by sigma = -W_6 (bqf.w6_reflection returns
     h = gamma W_6, gamma in Gamma0(6), with act(h, Q) = -Q), h maps C_Q onto
@@ -81,20 +95,26 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
     half-turn about a point z0 of it, here the fixed point of h, at arc
     length l0 with tanh l0 = (center - Re z0)/R.  Since f | W_6 = f
     (mu(6) = +1) and f is Gamma0(6)-invariant, f(h tau) = f(tau), so
-    l -> f(tau(l)) is even about l0.  The nodes are then l0 + k P/N, reduced
-    into [-P/2, P/2), and only k = 0 .. N/2 are evaluated, the interior ones
-    weighted 2: half the f evaluations for the same sums.  Otherwise the
-    nodes are -P/2 + k P/N, k = 0 .. N-1.
+    l -> f(tau(l)) is even about l0.  The nodes are then l0 + k W/m, reduced
+    into the window, and only k = 0 .. m/2 of the m nodes of the window
+    are evaluated, the interior ones weighted 2: half the f evaluations for
+    the same sums, on top of the glide.  Otherwise the nodes are
+    -W/2 + k W/m, k = 0 .. m-1.
 
-    Points at |l| near P/2 lie about e^{-P/2} above the real axis, so the
-    geometry carries P/(2 ln 10) + 10 digits beyond the working precision
-    and f_eval P/(2 ln 10) + 5 beyond ctx.digits.  The nodes are built in
-    fixed point at the geometry's wp bits: start, P, center and R become
-    integers once per integral, l = start + j P / m is reduced into
-    [-P/2, P/2) by one floor division, e^l is one raw libmp exponential, and
+    A node at arc length l lies 2R/(e^l + e^-l) above the real axis, so the
+    lowest nodes, at the ends of the window, lie about e^{-P/4} above it
+    with the glide and e^{-P/2} without.  The geometry therefore carries
+    lost + 10 digits beyond the working precision and f_eval lost + 5
+    beyond ctx.digits, with lost = floor(log10 |tr M| / g) + 1 >=
+    P/(2 g ln 10), g = 2 with the glide and 1 without: the glide halves the
+    digits lost (73 from 7 to 4, 193 from 14 to 7), and the rounding floor
+    10^(lost - digits of f) = 10^-(digits+5) stays.  The nodes are built in
+    fixed point at the geometry's wp bits: start, W, center and R become
+    integers once per integral, l = start + j W / m is reduced into the
+    window by one floor division, e^l is one raw libmp exponential, and
     tanh l = (e^{2l} - 1)/(e^{2l} + 1) and 1/cosh l = 2 e^l/(e^{2l} + 1) are
     integer quotients.  Fixed point is absolute: both parts of tau are off
-    by a few units of 2^-wp, which against Im tau >= R e^{-P/2} is still
+    by a few units of 2^-wp, which against Im tau >= R e^{-P/(2g)} is still
     10^-(digits + 20)/R relative, and is the error that the floating-point
     Re tau of the same precision carries too.  Each node reaches f_eval as
     an mpc, so every evaluation passes through traces.f_eval.
@@ -103,7 +123,7 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
     keeps one f_eval hint: each reduction into the Gamma0(6)+ domain starts
     from the matrix of the last node, which usually reduces the new node
     with no step.  Where consecutive nodes lie far apart (where a pass wraps
-    from one end of the geodesic to the other, and at the start of a pass),
+    from one end of the window to the other, and at the start of a pass),
     that matrix can send the new node far below the domain, and then the
     reduction starts cold (modforms._reduce_plus).  The warm
     start changes only the path to the reduced point, not the precisions,
@@ -114,18 +134,19 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
         raise ValueError("cycle integral needs a non-square positive discriminant")
     M = automorph(Q)
     trace_m = abs(M.a + M.d)
-    lost = int(math.log10(trace_m)) + 1      # >= P/(2 ln 10)
+    glide = 2 if fundamental_unit(n)[2] == -4 else 1
+    lost = int(math.log10(trace_m) / glide) + 1     # >= P/(2 glide ln 10)
     inner = PrecisionContext(digits=ctx.digits + lost + 5)
     h6 = w6_reflection(Q)
     fold = 1 if h6 is None else 2
     with mp.workdps(ctx.digits + 10 + lost + 10):
         tol = mp.mpf(10) ** (-ctx.digits - 2)
-        period = 2 * mp.acosh(mp.mpf(trace_m) / 2)
+        window = 2 * mp.acosh(mp.mpf(trace_m) / 2) / glide
         sq = mp.sqrt(n)
         center = mp.mpf(-Q.b) / (2 * Q.a)
         R = sq / (2 * abs(Q.a))
         if h6 is None:
-            start = -period / 2
+            start = -window / 2
         else:
             # e^{|l0|} = (R + |u|) / Im z0 with u = center - Re z0 = R tanh l0,
             # free of the cancellation in atanh(u / R) near |u| = R
@@ -134,15 +155,15 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
                            * abs(h6.c) / mp.sqrt(6))
             start = start if u >= 0 else -start
 
-        # node j / m of the period in fixed point (above)
+        # node j / m of the window in fixed point (above)
         wp = mp.prec
         one = 1 << wp
-        S, P, C, Rf = (mp.to_fixed(v, wp) for v in (start, period, center, R))
+        S, W, C, Rf = (mp.to_fixed(v, wp) for v in (start, window, center, R))
         hint = [None]
 
         def value(j, m):
-            ell = S + j * P // m
-            ell -= (2 * ell + P) // (2 * P) * P
+            ell = S + j * W // m
+            ell -= (2 * ell + W) // (2 * W) * W
             ex = to_fixed(mpf_exp(from_man_exp(ell, -wp), wp), wp)
             e2 = ex * ex >> wp
             re = C - Rf * (e2 - one) // (e2 + one)
@@ -150,26 +171,26 @@ def cycle_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
             tau = mp.make_mpc((from_man_exp(re, -wp), from_man_exp(im, -wp)))
             return f_eval(tau, inner, hint).real
 
-        nodes = 32
-        h = period / nodes
+        nodes = 32 // glide         # in the window; glide * nodes in the period
+        h = window / nodes
         if fold == 1:
             total = mp.fsum(value(k, nodes) for k in range(nodes))
         else:       # value(k, nodes) = value(nodes - k, nodes)
             total = (value(0, 1) + value(1, 2)
                      + 2 * mp.fsum(value(k, nodes) for k in range(1, nodes // 2)))
-        prev = total * h / sq
-        while nodes < 2 ** 16:
+        prev = glide * total * h / sq
+        while glide * nodes < 2 ** 16:
             total += fold * mp.fsum(value(2 * k + 1, 2 * nodes)
                                     for k in range(nodes // fold))
             nodes *= 2
-            h = period / nodes
-            cur = total * h / sq
+            h = window / nodes
+            cur = glide * total * h / sq
             diff = abs(cur - prev)
             if diff <= tol * max(1, abs(cur)):
                 return +cur, diff + mp.mpf(10) ** (lost - inner.digits) * max(1, abs(cur))
             prev = cur
     raise ArithmeticError(f"trapezoid sums for {Q.as_tuple()} did not settle "
-                          f"by {nodes} nodes")
+                          f"by {glide * nodes} nodes")
 
 
 def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> TraceValue:
@@ -180,11 +201,17 @@ def trace_cycle(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> TraceValue:
     onto C_{sigma Q} (reversing the orientation, which the full-period
     integral does not see).  With f | W_6 = f the two classes of a pair
     {Q, sigma Q} have the same cycle integral: the first of each pair is
-    integrated once and counted twice.  A class fixed by sigma is integrated
-    over half of its period (cycle_integral).  The partner of Q is the class
-    with the SL2(Z) key of sigma Q: on Q_n, Gamma0(6)- and SL2(Z)-equivalence
-    agree (bqf.enumerate_classes).  The keys of the representatives come
-    with the class set, so only the key of each sigma Q is computed here."""
+    integrated once and counted twice.  When the fundamental unit of n has
+    norm -1 it gives every class a glide reflection of C_Q by P/2 under
+    which Re f is invariant, and the cycle integral evaluates f over a
+    window of half the period P, whose lowest nodes lie about e^{-P/4}
+    instead of e^{-P/2} above the real axis, so f needs half the extra
+    digits; a class fixed by sigma is even about a point of C_Q, which
+    halves the evaluations again (cycle_integral).  The partner of Q is the
+    class with the SL2(Z) key of sigma Q: on Q_n, Gamma0(6)- and
+    SL2(Z)-equivalence agree (bqf.enumerate_classes).  The keys of the
+    representatives come with the class set, so only the key of each
+    sigma Q is computed here."""
     if n <= 0 or n % 24 != 1:
         raise ValueError("cycle trace needs n > 0, n = 1 mod 24")
     if is_square(n):

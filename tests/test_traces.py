@@ -6,8 +6,8 @@ import pytest
 from mpmath import mp
 
 from maasslab import modforms, traces
-from maasslab.bqf import (BQF, act, automorph, enumerate_classes, w6_reflection,
-                          w6_sigma)
+from maasslab.bqf import (BQF, act, automorph, enumerate_classes, fundamental_unit,
+                          w6_reflection, w6_sigma)
 from maasslab.context import PrecisionContext
 from maasslab.exact import trace_cm_exact
 from maasslab.matrices import GroupElement
@@ -203,19 +203,85 @@ class TestW6Symmetry:
 
     def test_half_the_evaluations(self, count_f_evals):
         # 73 and 193 are single sigma-fixed classes: 1024 and 2048 nodes over
-        # the full period, folded to 513 and 1025 evaluations, every one of
-        # them through traces.f_eval; 145 has two fixed classes (257 each)
-        # and one pair whose partner is not integrated (512)
-        for n, count in ((73, 513), (193, 1025), (145, 1026)):
+        # the full period, 512 and 1024 over the half-period window of the
+        # glide (their units have norm -1), folded to 257 and 513
+        # evaluations, every one of them through traces.f_eval; 145 has two
+        # fixed classes (129 each) and one pair whose partner is not
+        # integrated (256).  217 has no unit of norm -1, so only the sigma
+        # fold applies: two fixed classes (257 each) and one pair (512)
+        for n, count in ((73, 257), (193, 513), (145, 514), (217, 1026)):
             count_f_evals[0] = 0
             trace_cycle(n, PrecisionContext(digits=30))
             assert count_f_evals[0] == count, n
 
 
+class TestGlide:
+    """A unit of norm -1, eps = (t + u sqrt n)/2, gives the glide reflection
+    tau -> N conj(tau) of C_Q by P/2, N = [[(t - bu)/2, -cu], [au, (t + bu)/2]],
+    under which Re f is invariant."""
+
+    def test_glide_matrix(self):
+        for n in (73, 97, 145, 193, 241, 337):
+            t, u, norm = fundamental_unit(n)
+            assert norm == -4, n
+            for Q in enumerate_classes(n).reps:
+                a, b, c, d = N = ((t - Q.b * u) // 2, -Q.c * u,
+                                  Q.a * u, (t + Q.b * u) // 2)
+                assert _det(N) == -1 and c % 6 == 0, Q
+                # N fixes x iff c x^2 + (d - a) x - b = 0, i.e. iff Q(x, 1) = 0
+                assert (c, d - a, -b) == (u * Q.a, u * Q.b, u * Q.c), Q
+                # N^2 is the automorph up to sign: the glide by P/2 twice
+                M = automorph(Q).as_tuple()
+                square = (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
+                assert square in (M, tuple(-x for x in M)), Q
+
+    @staticmethod
+    def _shift_gaps(Q, ctx, count):
+        """|Re f(tau(l + P/2)) - Re f(tau(l))| / max(1, |Re f(tau(l))|) at
+        count seeded arc lengths l in [-P/2, 0), with f at the digits it
+        needs at the ends of the full period."""
+        rng = random.Random(4)
+        n = Q.disc()
+        M = automorph(Q)
+        lost = int(math.log10(abs(M.a + M.d))) + 1
+        inner = PrecisionContext(digits=ctx.digits + lost + 5)
+        with mp.workdps(ctx.digits + lost + 20):
+            period = 2 * mp.acosh(mp.mpf(abs(M.a + M.d)) / 2)
+            centre = mp.mpf(-Q.b) / (2 * Q.a)
+            R = mp.sqrt(n) / (2 * abs(Q.a))
+
+            def f_at(ell):
+                tau = mp.mpc(centre - R * mp.tanh(ell), R / mp.cosh(ell))
+                return f_eval(tau, inner).real
+
+            gaps = []
+            for _ in range(count):
+                ell = -period / 2 * mp.mpf(rng.random())
+                here = f_at(ell)
+                gaps.append(abs(f_at(ell + period / 2) - here) / max(1, abs(here)))
+            return gaps
+
+    def test_real_part_is_half_period_periodic(self):
+        ctx = PrecisionContext(digits=30)
+        for n in (73, 97, 145, 193, 241, 337):
+            for Q in enumerate_classes(n).reps:
+                gaps = self._shift_gaps(Q, ctx, 20)
+                assert max(gaps) <= mp.mpf(10) ** (-ctx.digits - 5), (n, Q)
+
+    def test_no_glide_without_a_unit_of_norm_minus_one(self):
+        # 217 = 7 * 31: t^2 - 217 u^2 = -4 has no solution, and on each class
+        # the shift by P/2 moves Re f by more than 1 at some of the 20 points
+        assert fundamental_unit(217)[2] == 4
+        for Q in enumerate_classes(217).reps:
+            gaps = self._shift_gaps(Q, PrecisionContext(digits=30), 20)
+            assert max(gaps) > 1, Q
+
+
 def _geodesic_points(Q, digits, ells):
     """The points of C_Q at arc lengths ells (fractions of the half period
-    P/2, from the apex), rounded to the working precision of f_eval inside
-    cycle_integral at digits, which is returned with them."""
+    P/2, from the apex), rounded to the working precision that f_eval needs
+    at digits at the ends of the full period (cycle_integral without the
+    glide), which is returned with them."""
     n = Q.disc()
     M = automorph(Q)
     lost = int(math.log10(abs(M.a + M.d))) + 1
