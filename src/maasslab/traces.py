@@ -305,8 +305,8 @@ def _damp_sigmas(Q: BQF):
     return out
 
 
-# top of the Gauss-Legendre panels of a damped ray, analytic tails above
-_Y1 = 4
+# top of the Gauss-Legendre panels of a damped ray, f's q-series above
+_Y1 = Fraction(1, 2)
 # bits of a damped ray's fixed point beyond its digits (_ray_prec)
 _RAY_GUARD_BITS = 16
 
@@ -337,37 +337,66 @@ def _ray_seed(sigma: GroupElement, x0, cusp: Fraction):
 
 
 @lru_cache(maxsize=8)
-def _e1_row(Y, dps: int):
-    """E1(2 pi m Y) for m = 1 .. nmax at dps digits, nmax enough for the
-    E1 series to reach 10^-dps.  They do not depend on the ray."""
-    with mp.workdps(dps):
-        two_pi = 2 * mp.pi
-        nmax = max(3, int((dps * mp.log(10)) / (two_pi * Y)) + 3)
-        return tuple(mp.e1(two_pi * m * Y) for m in range(1, nmax + 1))
+def _e1_row(Y, prec: int):
+    """E1(2 pi m Y) for m = 1 .. nmax, each to the bits its term
+    c(m) E1(2 pi m Y) of the tail needs (_fmin_series_tail); Y is an int
+    or a Fraction.
+
+    nmax is the least m with 2 pi m Y - 4 pi sqrt(m/6) >= (prec + 16) ln 2.
+    With |c(m)| <= e^{4 pi sqrt(m/6)} (c(m) is at most 0.46 of that bound
+    for m <= 200) and E1(x) < e^{-x}/x, the first omitted term is below
+    2^-(prec+16), and the terms after it fall by about e^{-2 pi Y} each.
+
+    Term m is below |c(m)| e^{-x}/x at x = 2 pi m Y, and rounding x and
+    E1(x) at p bits moves it by a relative (x + 2) 2^-p, so
+    p = prec + 20 + floor(log2(|c(m)| e^{-x})) keeps it within
+    2^-(prec+17).  p is capped at prec, which the first terms take
+    (m <= 8 from Y = 1/2).  The values do not depend on the ray, so
+    every ray at prec shares the row."""
+    k, g = 2 * math.pi * Y, 4 * math.pi / math.sqrt(6)
+    s = (g + math.sqrt(g * g + 4 * k * (prec + 16) * math.log(2))) / (2 * k)
+    nmax = math.ceil(s * s)
+    fq = f_qexp(nmax)
+    row = []
+    for m in range(1, nmax + 1):
+        p = prec + 20 + math.floor(math.log2(abs(fq.coeff(m))) - m * k / math.log(2))
+        with mp.workprec(max(24, min(prec, p))):
+            row.append(mp.e1(2 * mp.pi * m * Y.numerator / Y.denominator))
+    return tuple(row)
 
 
-def _fmin_series_tail(x0, Y, ctx: PrecisionContext):
-    """int_Y^oo [f - 12 - (e(-tau) - e(-conj tau))] dy/y on the ray x = x0,
-    term by term: e(-conj tau) + sum c_f(n) e(n tau) integrates to
-    exponential integrals E1(2 pi n Y), shared by all rays (_e1_row).  At
-    ctx.digits + 10 digits: for Y >= 4 the sum is below 1e-10 (its first
-    term 77 E1(8 pi) is 3.7e-11), so its rounding stays below
-    10^-(digits + 20)."""
-    with mp.workdps(ctx.digits + 10):
-        e1 = _e1_row(Y, mp.dps)
-        fq = f_qexp(max(40, len(e1) + 2))
-        total = mp.expjpi(-2 * x0) * e1[0]
+def _fmin_series_tail(cusp: Fraction, Y, prec: int):
+    """Re int_Y^oo [f - 12 - (e(-tau) - e(-conj tau))] dy/y on the ray over
+    x0 = cusp, at prec bits, from f's q-series: e(-conj tau) + sum c(m) e(m tau)
+    integrates term by term to exponential integrals E1(2 pi m Y), shared by
+    all rays (_e1_row).  Its real part takes cos(2 pi m x0), which depends
+    only on m mod the denominator of x0, one cosine per residue.
+
+    f is holomorphic on the upper half plane, so the series converges for
+    every Y > 0.  From Y = 1/2 the sum is of order 1 (its first term
+    78 E1(pi) cos(2 pi x0) is up to 0.84), so it runs at the ray's own prec
+    and not at a few digits beyond ctx.digits.  The terms do not cancel:
+    for Y >= 1/2, c(m) E1(2 pi m Y) falls from m = 1 on, so with each term
+    within 2^-(prec+17) and the omitted ones below 2^-(prec+15) (_e1_row)
+    the sum is off by a few units of 2^-prec, most of them from the first
+    terms."""
+    e1 = _e1_row(Y, prec)
+    fq = f_qexp(len(e1))
+    den = cusp.denominator
+    with mp.workprec(prec):
+        cosines = [mp.cospi(mp.mpf(2 * (r * cusp.numerator % den)) / den)
+                   for r in range(den)]
+        total = cosines[1 % den] * e1[0]
         for m, e in enumerate(e1, 1):
-            c = fq.coeff(m)
-            if c:
-                total += c * mp.expjpi(2 * m * x0) * e
+            total += fq.coeff(m) * cosines[m % den] * e
         return +total
 
 
 def _ray_prec(ctx: PrecisionContext) -> int:
-    """Bits wp of the damped rays' fixed point and of their sum in
-    trace_square: the integrand's ctx.digits + 10 + _damp_guard_digits(_Y1)
-    digits, plus _RAY_GUARD_BITS for the rounding of the panel sums."""
+    """Bits wp of the damped rays' fixed point, of their q-series tails and
+    of their sum in trace_square: the integrand's ctx.digits + 10 +
+    _damp_guard_digits(_Y1) digits (22 beyond ctx.digits with _Y1 = 1/2),
+    plus _RAY_GUARD_BITS for the rounding of the panel sums."""
     return dps_to_prec(ctx.digits + 10 + _damp_guard_digits(_Y1)) + _RAY_GUARD_BITS
 
 
@@ -375,10 +404,12 @@ def damped_ray_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
     """int_{y0}^oo f_Q(x0 + i y) dy/y for a square-discriminant form
     Q = (0, b, c), b > 0, whose cusps are oo and x0 = -c/b, from the ray's
     lowest point y0 = 1/(b sqrt 6), with its error estimate: Gauss-Legendre
-    panels of 48 nodes (degree 5) between the break points y0, 2 y0, 1/2, 1,
-    2 that lie below _Y1, in increasing order, analytic tails beyond.  The
-    estimate is the sum of the panels' own (_gl_panel), read from the last
-    two Legendre coefficients of each panel's 48 samples.
+    panels of 48 nodes (degree 5) between the break points y0 and 2 y0
+    where 2 y0 < _Y1 = 1/2, so [y0, 1/2] for b = 1 and [y0, 2 y0],
+    [2 y0, 1/2] for b >= 5, and f's q-series in closed form above 1/2
+    (_fmin_series_tail).  The estimate is the sum of the panels' own
+    (_gl_panel), read from the last two Legendre coefficients of each
+    panel's 48 samples.
 
     On the ray both subtracted seeds are a constant phase times a real sinh
     (_ray_seed), so a node costs one f_eval and two real exponentials, and
@@ -386,28 +417,32 @@ def damped_ray_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
     nodes of the ray share one f_eval hint, so a node reduced by the same
     matrix as the last one takes no reduction step.
 
-    Fixed point.  Everything but the E1 series runs at wp bits (_ray_prec):
-    the integrand's ctx.digits + 10 + guard digits, the guard absorbing the
-    e^{2 pi y} cancellation between f and the seeds, plus _RAY_GUARD_BITS.
-    x0, y0, the break points, the nodes and both seeds (2 mu Re(phase) and
-    k = 2 pi kappa) are built from Q at wp; y and the samples are integers
-    at scale 2^wp.  Each node passes the exact point x0 + i y to f_eval;
-    each seed sinh is (E - 1/E)/2 in integers, with E one raw exponential
-    of k y or k / y at wp, and the division by y is one floor.  f and the
-    seeds, both of size up to e^{2 pi y}, are rounded at the integrand's
-    digits, so a sample is off by about e^{2 pi y} 10^-(digits + 10 + guard),
-    which the guard keeps below 10^-(digits + 19) for y <= _Y1.  The panel sums add at
-    most |b - a| (e + n M / 2) units of 2^-wp (_gl_panel).  |b - a| M is
-    below 2000 on every panel for b <= 11 (M grows with b near y0), so with
-    n = 48 the sums add below 2^16 units, which _RAY_GUARD_BITS covers.
+    Fixed point.  Everything runs at wp bits (_ray_prec): the integrand's
+    ctx.digits + 10 + guard digits, plus _RAY_GUARD_BITS.  x0, y0, the break
+    points, the nodes and both seeds (2 mu Re(phase) and k = 2 pi kappa) are
+    built from Q at wp; y and the samples are integers at scale 2^wp.  Each
+    node passes the exact point x0 + i y to f_eval; each seed sinh is
+    (E - 1/E)/2 in integers, with E one raw exponential of k y or k / y at
+    wp, and the division by y is one floor.  f and the seeds are rounded at
+    the integrand's digits, and near their largest, both e^{2 pi y} at the
+    top y = 1/2 and up to e^{2 pi / sqrt 6} at the bottom y0, where the
+    cusp-x0 seed peaks (sigma(x0 + i y0) lies at height 1/sqrt 6 on the ray
+    of (0, 1, 0) and lower on the others, checked for b < 60), they cancel
+    to the O(1) integrand.  The guard
+    _damp_guard_digits(_Y1) = 12 digits budgets e^{2 pi} for that, so a
+    sample is off by about e^{pi} 10^-(digits + 22), below 10^-(digits + 20).
+    The panel sums add at most |b - a| (e + n M / 2) units of 2^-wp
+    (_gl_panel).  |b - a| M is below 2000 on every panel for b <= 11 (M
+    grows with b near y0), so with n = 48 the sums add below 2^16 units,
+    which _RAY_GUARD_BITS covers.
 
     x0 and y0 come from Q inside the ray, and the sums stay at wp, because
     rounding at ctx.digits + 10 digits would cost more than the rule's own
     error for the first squares: a ray value near 31 has a unit in the last
     place of a few 1e-35 at 35 digits, while Tr_1 and Tr_25 from these
-    rules at 25 digits are within 1e-40 of 50-digit tanh-sinh values.  The
-    E1 series tail is below 1e-10, so it needs only ctx.digits + 10 digits
-    (_fmin_series_tail).  The value is returned at wp."""
+    rules at 25 digits are within 1e-40 of 50-digit tanh-sinh values.  From
+    y = 1/2 the tail is of order 1, so it is summed at wp too, off by a few
+    units of 2^-wp (_fmin_series_tail).  The value is returned at wp."""
     if Q.a != 0 or Q.b <= 0:
         raise ValueError("damped ray needs a form (0, b, c) with b > 0")
     cusp = Fraction(-Q.c, Q.b)
@@ -435,19 +470,19 @@ def damped_ray_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
                 val -= coeff * ((e - (one << wp) // e) >> 1) >> wp
             return (val << wp) // y
 
-        low, top = mp.to_fixed(y0, wp), _Y1 * one
-        pts = sorted(p for p in (2 * low, one >> 1, one, 2 * one) if low < p < top)
-        pts = [low, *pts, top]
+        low, top = mp.to_fixed(y0, wp), one * _Y1.numerator // _Y1.denominator
+        pts = [low, 2 * low, top] if 2 * low < top else [low, top]
         head = head_err = mp.zero
         for a, b in zip(pts, pts[1:]):
             val, err = _gl_panel(integrand, a, b, 5)
             head += val
             head_err += err
 
-        tail = _fmin_series_tail(x0, _Y1, ctx).real
+        Y = mp.mpf(_Y1.numerator) / _Y1.denominator
+        tail = _fmin_series_tail(cusp, _Y1, wp)
         for coeff, k, at_oo in seeds:
             if not at_oo:    # the cusp-x0 seed decays like 1/y
-                tail -= coeff * mp.shi(k / _Y1)
+                tail -= coeff * mp.shi(k / Y)
         return head + tail, head_err
 
 
@@ -505,7 +540,7 @@ def trace_square(n: int, ctx: PrecisionContext = DEFAULT_CTX,
     TraceValue carries that precision: rounded to ctx.digits + 10 digits,
     the result would carry the rounding of its largest ray values, a few
     1e-35 at 25 digits, while Tr_1, Tr_25 and Tr_49 at 25 digits agree with
-    their 40-digit values to 1e-46 (damped_ray_integral)."""
+    their 40-digit values to 1e-48 (damped_ray_integral)."""
     if n <= 0 or n % 24 != 1 or not is_square(n):
         raise ValueError("square trace needs a positive square n = 1 mod 24")
     b = math.isqrt(n)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,12 @@ CYCLE_REFS = {
     97: "-0.38753994252724597620375321415682961667242162373257",
     145: "-0.0035161941589880594506432298937402668599029376542453",
     193: "0.21322687479480189137441832980913192317402586280390",
+}
+# Tr_n from bench/refs/square.json: tanh-sinh on the dampened integrand up to
+# y = 14.5, at 42 digits plus the cancellation depth
+SQUARE_REFS = {
+    1: "-1.6486959807509787080365510234372692911885949445079",
+    25: "6.5910786950506249566650475947117700348186463843314",
 }
 
 
@@ -482,10 +489,11 @@ class TestRaySeeds:
                             <= mp.mpf(10) ** -digits * mp.exp(2 * mp.pi * y), (Q, y)
 
     def test_shi_tail_matches_quadrature(self):
-        # int_Y^oo seed dy/y for the cusp-x0 seed, by mp.quad after y = Y/t
-        Y = mp.mpf(4)
+        # int_Y^oo seed dy/y for the cusp-x0 seed, by mp.quad after y = Y/t,
+        # from Y = 4 and from the top of the panels, Y = 1/2
         with mp.workdps(40):
-            for form in _ray_forms(5) + _ray_forms(7):
+            for Y, form in itertools.product((mp.mpf(4), mp.mpf(1) / 2),
+                                             _ray_forms(5) + _ray_forms(7)):
                 Q = BQF(*form)
                 x0 = mp.mpf(-Q.c) / Q.b
                 for _, sigma in _damp_sigmas(Q):
@@ -498,7 +506,7 @@ class TestRaySeeds:
 
                     quad = mp.quad(g, [0, mp.mpf(1) / 2, 1])
                     shi = phase * 2 * mp.shi(2 * mp.pi * kappa / Y)
-                    assert abs(shi - quad) < mp.mpf("1e-30"), form
+                    assert abs(shi - quad) < mp.mpf("1e-30"), (Y, form)
 
     def test_rejects_sigma_off_the_cusp(self):
         # c x0 + d = 6 (-2/5) + 1 != 0: sigma does not send x0 to oo
@@ -530,6 +538,17 @@ class TestSquareTraces:
         # With x0 reduced mod 1 the shifted rays would be folded, leaving 3.
         assert len(rays) == 7, rays
 
+    def test_pinned_values(self):
+        for n, ref in SQUARE_REFS.items():
+            tv = trace_square(n, PrecisionContext(digits=25))
+            assert abs(tv.value - mp.mpf(ref)) <= mp.mpf("1e-39"), n
+
+    def test_err_est_bounds_the_distance_to_80_digits(self):
+        for n in (1, 25):
+            lo = trace_square(n, PrecisionContext(digits=60))
+            hi = trace_square(n, PrecisionContext(digits=80))
+            assert abs(lo.value - hi.value) <= lo.err_est, n
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             trace_square(73, CTX)
@@ -557,8 +576,9 @@ class TestFixedPointRays:
     """The damped rays run in fixed point at the integrand's precision."""
 
     def test_integrand_matches_damp_fQ(self, monkeypatch):
-        # every node of the five panels of two rays, against the pointwise
-        # oracle damp_fQ(x0 + i y, Q) / y
+        # every node of the panels below 1/2 of two rays, against the
+        # pointwise oracle damp_fQ(x0 + i y, Q) / y: one panel for b = 1,
+        # two for b = 5
         ctx = PrecisionContext(digits=25)
         panel = traces._gl_panel
         samples = []
@@ -572,11 +592,11 @@ class TestFixedPointRays:
 
         monkeypatch.setattr(traces, "_gl_panel", recorded)
         tol = mp.mpf(10) ** -(ctx.digits + 10)
-        for form in ((0, 1, 0), (0, 5, 2)):
+        for form, nodes in (((0, 1, 0), 48), ((0, 5, 2), 2 * 48)):
             Q = BQF(*form)
             samples.clear()
             damped_ray_integral(Q, ctx)
-            assert len(samples) == 5 * 48, form
+            assert len(samples) == nodes, form
             for wp, y, v in samples:
                 with mp.workprec(wp):
                     y = mp.ldexp(y, -wp)
@@ -591,6 +611,57 @@ class TestFixedPointRays:
             lo = trace_square(n, PrecisionContext(digits=25))
             hi = trace_square(n, PrecisionContext(digits=40))
             assert abs(lo.value - hi.value) <= mp.mpf("1e-38"), n
+
+
+def _ray_tail(Q: BQF, Y: Fraction, wp: int):
+    """The analytic part of a damped ray above Y at wp bits: f's q-series
+    tail minus the Shi tail of the cusp-x0 seed."""
+    cusp = Fraction(-Q.c, Q.b)
+    with mp.workprec(wp):
+        x0 = mp.mpf(cusp.numerator) / cusp.denominator
+        tail = traces._fmin_series_tail(cusp, Y, wp)
+        for mu, sigma in _damp_sigmas(Q):
+            phase, kappa, at_oo = _ray_seed(sigma, x0, cusp)
+            if not at_oo:
+                tail -= 2 * mu * phase.real * mp.shi(2 * mp.pi * kappa / Y.numerator
+                                                     * Y.denominator)
+        return tail
+
+
+class TestRayTail:
+    """Above y = 1/2 a damped ray is f's q-series in closed form, summed at
+    the ray's own precision."""
+
+    def test_tail_from_half_matches_quadrature(self):
+        # tail(1/2) - tail(4) is the integral over [1/2, 4], which mp.quad
+        # takes from the pointwise oracle at 42 digits
+        wp = traces._ray_prec(PrecisionContext(digits=25))
+        oracle = PrecisionContext(digits=42)
+        forms = sorted(set(_ray_forms(1) + _ray_forms(5) + _ray_forms(7)))
+        for form in forms:
+            Q = BQF(*form)
+            diff = _ray_tail(Q, Fraction(1, 2), wp) - _ray_tail(Q, Fraction(4), wp)
+            with mp.workdps(45):
+                x0 = mp.mpf(-Q.c) / Q.b
+                quad = mp.quad(lambda y: damp_fQ(mp.mpc(x0, y), Q, oracle).real / y,
+                               [mp.mpf(1) / 2, 1, 2, 4])
+            assert abs(diff - quad) <= mp.mpf("1e-40"), form
+
+    @pytest.mark.parametrize("digits", [25, 60])
+    def test_e1_row_precision_and_length(self, digits):
+        # the per-term precisions cost at most 2^-wp in the sum, and the
+        # first term the row omits is below 2^-wp
+        wp = traces._ray_prec(PrecisionContext(digits=digits))
+        Y = Fraction(1, 2)
+        row = traces._e1_row(Y, wp)
+        fq = modforms.f_qexp(len(row) + 1)
+        with mp.workprec(wp):
+            full = [mp.e1(mp.pi * m) for m in range(1, len(row) + 2)]
+        spent = mp.fsum(abs(fq.coeff(m)) * abs(e - full[m - 1])
+                        for m, e in enumerate(row, 1))
+        assert spent <= mp.ldexp(1, -wp), digits
+        omitted = abs(fq.coeff(len(row) + 1)) * full[-1]
+        assert omitted < mp.ldexp(1, -wp), digits
 
 
 class TestSquarePanels:
@@ -608,7 +679,8 @@ class TestSquarePanels:
             return val, est
 
         monkeypatch.setattr(traces, "_gl_panel", checked)
-        for n, panels in ((1, 5), (25, 15), (49, 20)):
+        # one panel for the ray of (0,1,0), two for each other ray integrated
+        for n, panels in ((1, 1), (25, 5), (49, 7)):
             seen.clear()
             traces._ray_value.cache_clear()
             trace_square(n, PrecisionContext(digits=25))
@@ -618,10 +690,11 @@ class TestSquarePanels:
 
     def test_evaluations_per_trace(self, count_f_evals):
         # the rays of (0,1,0), (0,5,1) and (0,5,2), the last two standing
-        # for their mirrors; five panels of 48 nodes each
+        # for their mirrors; panels of 48 nodes: [y0, 1/2] for the first,
+        # [y0, 2 y0] and [2 y0, 1/2] for the other two
         traces._ray_value.cache_clear()
         trace_square(25, PrecisionContext(digits=25))
-        assert count_f_evals[0] == 3 * 5 * 48
+        assert count_f_evals[0] == 5 * 48
 
     def test_shared_ray_across_traces(self, count_f_evals):
         # the ray of (0,1,0) is kept across calls: Tr_25 after Tr_1 integrates
@@ -629,10 +702,10 @@ class TestSquarePanels:
         ctx = PrecisionContext(digits=25)
         traces._ray_value.cache_clear()
         first = trace_square(1, ctx)
-        assert count_f_evals[0] == 5 * 48
+        assert count_f_evals[0] == 48
         count_f_evals[0] = 0
         warm = trace_square(25, ctx)
-        assert count_f_evals[0] == 2 * 5 * 48
+        assert count_f_evals[0] == 4 * 48
         traces._ray_value.cache_clear()
         assert trace_square(25, ctx).value == warm.value
         assert trace_square(1, ctx).value == first.value
