@@ -225,7 +225,7 @@ def kloosterman_A(c: int, m: int, ctx: PrecisionContext = DEFAULT_CTX):
                      12 * c, ctx)
 
 
-_SCAN_BLOCK = 32     # moduli (or primes) per numpy block of the hit scan
+_SCAN_BLOCK = 256    # moduli (or primes) per numpy block of the hit scan
 
 
 def _prime_power_sieve(n: int):
@@ -247,6 +247,46 @@ def _prime_power_sieve(n: int):
             multiples[spf[q::q] == p] = q
             q *= p
     return primes, pp
+
+
+def _inverse_mod(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x with a x = 1 mod q, elementwise, for coprime a and q >= 1 (0 where
+    q = 1): the extended Euclidean algorithm on whole arrays, each entry
+    leaving the loop when its remainder reaches 0."""
+    r0, r1 = q.copy(), a % q
+    x0, x1 = np.zeros_like(q), np.ones_like(q)
+    live = np.flatnonzero(r1)
+    while live.size:
+        quo = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - quo * r1[live]
+        x0[live], x1[live] = x1[live], x0[live] - quo * x1[live]
+        live = live[r1[live] != 0]
+    return x0 % q
+
+
+def _crt_idempotents(c_max: int, pp: np.ndarray):
+    """(qs, es), arrays of shape (levels, c_max + 1): column c holds the
+    prime powers q || 2c and their idempotents e_q = (2c/q) ((2c/q)^-1 mod q),
+    with e_q = 1 mod q and e_q = 0 mod 2c/q.  The odd prime powers come
+    first, in increasing prime order and padded with q = 1 (whose one root
+    0 and e_q = 0 add nothing to a hit); the last row is the power of 2, which has two roots for every m, so that
+    the scan drops the pairs without hits before it doubles the rest.
+    Columns 0 and 1 are only padding: the scan starts at c = 2.  The
+    inverses are taken one row at a time (at most 5 rows for c_max < 15015),
+    which keeps the temporaries of _inverse_mod to one row."""
+    cs = np.arange(c_max + 1, dtype=np.int64)
+    cs[0] = 1
+    low = np.where(cs % 2 == 0, pp[cs], 1)
+    rest, levels = cs // low, []
+    while np.count_nonzero(rest > 1):
+        levels.append(pp[rest])
+        rest //= levels[-1]
+    qs = np.array(levels + [2 * low], dtype=np.int64)
+    es = np.empty_like(qs)
+    for q, e in zip(qs, es):
+        cof = 2 * cs // q
+        e[:] = cof * _inverse_mod(cof % q, q)
+    return qs, es
 
 
 def _pair_order(pair: np.ndarray, pairs: int, hit: np.ndarray, hits: int) -> np.ndarray:
@@ -337,8 +377,11 @@ def kloosterman_table(c_max: int, ms: tuple) -> dict:
     quadratic mod 2c.  By the Chinese remainder theorem they are the
     l = sum_q r_q e_q mod 2c over the prime powers q || 2c, one root r_q
     mod q for each q, where e_q = 1 mod q and e_q = 0 mod 2c/q: e_q is
-    2c/q times one inverse of 2c/q mod q, taken while factoring c with a
-    sieve of smallest-prime powers.  Mod a prime p >= 5,
+    2c/q times one inverse of 2c/q mod q.  The prime powers of every
+    2c <= 2 c_max come from a sieve of smallest-prime powers, and all their
+    idempotents from a vectorized extended Euclid before the block loop
+    (_crt_idempotents), so the loop makes no Python call per modulus.
+    Mod a prime p >= 5,
     12(3l^2 + l + 2m) = (6l + 1)^2 - (1 - 24m), so the roots are
     l = (x - 1)/6 with x^2 = 1 - 24m mod p: two, one (p | 1 - 24m) or
     none, read from one table of squares mod p that serves every m.
@@ -368,23 +411,15 @@ def kloosterman_table(c_max: int, ms: tuple) -> dict:
         out[m][1] = 1.0  # exact; the formula gives 1 + 2^-52 in float64
     primes, pp = _prime_power_sieve(c_max)
     row, start, roots = _hit_roots(c_max, ms, primes)
+    qs, es = _crt_idempotents(c_max, pp)
     for c0 in range(2, c_max + 1, _SCAN_BLOCK):
-        cs = np.arange(c0, min(c0 + _SCAN_BLOCK, c_max + 1), dtype=np.int64)
+        c1 = min(c0 + _SCAN_BLOCK, c_max + 1)
+        cs = np.arange(c0, c1, dtype=np.int64)
         mod = 2 * cs
-        # the prime powers q || 2c; the power of 2, which has two roots for
-        # every m, comes last, so that pairs without hits drop out first
-        low = np.where(cs % 2 == 0, pp[cs], 1)
-        rest, levels = cs // low, []
-        while np.count_nonzero(rest > 1):
-            levels.append(pp[rest])
-            rest //= levels[-1]
         # every (c, m) pair, expanded over the roots of each q in turn
         ci, mi = np.divmod(np.arange(cs.size * M), M)
         hit = np.zeros(ci.size, dtype=np.int64)
-        for q in levels + [2 * low]:
-            cof = mod // q
-            e = cof * np.array([pow(a, -1, b) for a, b in
-                                zip((cof % q).tolist(), q.tolist())], dtype=np.int64)
+        for q, e in zip(qs[:, c0:c1], es[:, c0:c1]):
             f = row[q][ci] * M + mi
             k = start[f + 1] - start[f]
             # the roots of each entry: start[f] + t for t < k

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
@@ -71,6 +72,24 @@ def _tail_integral(a, nu, X):
     return lead * (1 / (nu - mp.mpf(1) / 2) + rest)
 
 
+@lru_cache(maxsize=32)
+def _bessel_weights(n: int, s: float, c_max: int) -> np.ndarray:
+    """J_{2s-1}(pi sqrt n / 6c) for c = 1, ..., c_max (I-Bessel for n < 0) in
+    float64: the weights of coeff_a's c-sum, as one read-only array.
+
+    Cached by (n, float(s), c_max), so that pole_residue and pole_finite_part,
+    which read the same s-grid, build each row once (a kloosterman-series
+    round takes 20 rows).  scipy is imported here, so that the rest of the
+    package loads without it."""
+    from scipy.special import iv, jv
+
+    cs = np.arange(1, c_max + 1, dtype=np.float64)
+    arg = math.pi * math.sqrt(abs(n)) / 6.0 / cs
+    w = jv(2 * s - 1, arg) if n > 0 else iv(2 * s - 1, arg)
+    w.flags.writeable = False
+    return w
+
+
 def coeff_a(n: int, s, c_max: int,
             ctx: PrecisionContext = DEFAULT_CTX,
             table: dict | None = None,
@@ -82,10 +101,9 @@ def coeff_a(n: int, s, c_max: int,
     chi12(sqrt n) (12 sqrt 3/pi^2) sqrt(t); its tail beyond c_max is resummed
     analytically, which reproduces the 3/(sqrt pi (s-3/4)) pole as s -> 3/4.
 
-    scipy is imported here, for the float Bessel weights only, so that the
-    rest of the package loads without it."""
-    from scipy.special import iv, jv
-
+    The float Bessel weights come from _bessel_weights, cached by
+    (n, float(s), c_max); the terms A_c/c * w_c are formed afresh on each
+    call, so a cached row gives the same value and err_est as a new one."""
     if n % 24 != 1 or n == 0:
         raise ValueError("index must be nonzero and 1 mod 24")
     sf = float(s)
@@ -99,9 +117,7 @@ def coeff_a(n: int, s, c_max: int,
         table = kloosterman_table(c_max, (m,))
     A = table[m][1:c_max + 1]
     cs = np.arange(1, c_max + 1, dtype=np.float64)
-    nu = 2 * sf - 1
-    arg = math.pi * math.sqrt(abs(n)) / 6.0 / cs
-    w = jv(nu, arg) if n > 0 else iv(nu, arg)
+    w = _bessel_weights(n, sf, c_max)
     terms = A / cs * w
     chi = chi12_sqrt(n)
     if chi:
@@ -202,7 +218,7 @@ def _pole_grid(n: int, c_max: int, ctx: PrecisionContext, table, residue: bool):
         return _extrapolate(hs, vals, errs)
 
 
-def pole_residue(n: int, c_max: int = 10_000,
+def pole_residue(n: int, c_max: int,
                  ctx: PrecisionContext = DEFAULT_CTX, table: dict | None = None):
     """lim (s-3/4) c(s) a(n,s), extrapolated; should equal chi12(sqrt n).
 
@@ -211,7 +227,7 @@ def pole_residue(n: int, c_max: int = 10_000,
     return _pole_grid(n, c_max, ctx, table, residue=True)
 
 
-def pole_finite_part(n: int, c_max: int = 10_000,
+def pole_finite_part(n: int, c_max: int,
                      ctx: PrecisionContext = DEFAULT_CTX, table: dict | None = None):
     """Constant term of c(s) a(n,s) at s = 3/4 for square n, extrapolated;
     the spread is formed as in pole_residue."""

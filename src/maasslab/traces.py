@@ -312,9 +312,15 @@ _RAY_GUARD_BITS = 16
 
 
 def _damp_guard_digits(y) -> int:
-    """Extra digits absorbing the e^{2 pi y} cancellation between the
-    exponentially growing cusp terms of f and the subtracted seeds."""
-    return int(2 * mp.pi / mp.log(10) * max(float(y), 1.0)) + 10
+    """Extra digits absorbing the cancellation between the exponentially
+    growing cusp terms of f and the subtracted seeds on a ray up to height
+    y: 10 plus the digits of e^{2 pi max(y, 1/sqrt 6)}.  f's e(-tau) and
+    the cusp-oo seed reach e^{2 pi y} (its kappa is at most 1), and the
+    cusp-x0 seed e^{2 pi kappa / y} peaks at the ray's lowest point y0,
+    at height kappa / y0 <= 1/sqrt 6 (both checked for every ray with
+    b' < 60).  So the rays, which stop at _Y1 = 1/2, take 11 digits for
+    e^{pi}."""
+    return int(2 * math.pi * max(float(y), 1 / math.sqrt(6)) / math.log(10)) + 10
 
 
 def _ray_seed(sigma: GroupElement, x0, cusp: Fraction):
@@ -395,8 +401,9 @@ def _fmin_series_tail(cusp: Fraction, Y, prec: int):
 def _ray_prec(ctx: PrecisionContext) -> int:
     """Bits wp of the damped rays' fixed point, of their q-series tails and
     of their sum in trace_square: the integrand's ctx.digits + 10 +
-    _damp_guard_digits(_Y1) digits (22 beyond ctx.digits with _Y1 = 1/2),
-    plus _RAY_GUARD_BITS for the rounding of the panel sums."""
+    _damp_guard_digits(_Y1) digits (21 beyond ctx.digits with _Y1 = 1/2,
+    whose 11 guard digits budget e^{pi}), plus _RAY_GUARD_BITS for the
+    rounding of the panel sums."""
     return dps_to_prec(ctx.digits + 10 + _damp_guard_digits(_Y1)) + _RAY_GUARD_BITS
 
 
@@ -429,8 +436,9 @@ def damped_ray_integral(Q: BQF, ctx: PrecisionContext = DEFAULT_CTX):
     cusp-x0 seed peaks (sigma(x0 + i y0) lies at height 1/sqrt 6 on the ray
     of (0, 1, 0) and lower on the others, checked for b < 60), they cancel
     to the O(1) integrand.  The guard
-    _damp_guard_digits(_Y1) = 12 digits budgets e^{2 pi} for that, so a
-    sample is off by about e^{pi} 10^-(digits + 22), below 10^-(digits + 20).
+    _damp_guard_digits(_Y1) = 11 digits budgets e^{pi}, the largest of
+    these, so a sample is off by about e^{pi} 10^-(digits + 21), below
+    10^-(digits + 19).
     The panel sums add at most |b - a| (e + n M / 2) units of 2^-wp
     (_gl_panel).  |b - a| M is below 2000 on every panel for b <= 11 (M
     grows with b near y0), so with n = 48 the sums add below 2^16 units,

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from maasslab.exact import (_eta_phase, _spt_list, _units, chi12, chi12_sqrt,
+from maasslab import exact
+from maasslab.exact import (_crt_idempotents, _eta_phase, _prime_power_sieve,
+                            _spt_list, _units, chi12, chi12_sqrt,
                             dedekind_sum, eta_multiplier, kloosterman_A,
                             kloosterman_table, kronecker_symbol, lehmer_ratios,
                             omega0, partial_sum_S, partition_p, s_coeff, spt,
@@ -156,6 +158,42 @@ class TestKloosterman:
             table, oracle = kloosterman_table(c_max, ms), _all_residue_scan(c_max, ms)
             for m in ms:
                 assert np.array_equal(table[m], oracle[m]), (c_max, m)
+
+    def test_scan_matches_all_residue_scan_at_block_edges(self):
+        # blocks of _SCAN_BLOCK moduli start at c = 2: c_max = B + 1 fills
+        # the first block, B + 2 opens a second of one modulus
+        B = exact._SCAN_BLOCK
+        for ms in ((-14,), (-14, -5, 0, 5, 13)):
+            for c_max in (1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1, 2 * B + 2):
+                table = kloosterman_table.__wrapped__(c_max, ms)
+                oracle = _all_residue_scan(c_max, ms)
+                for m in ms:
+                    assert np.array_equal(table[m], oracle[m]), (c_max, m)
+
+    def test_idempotents_match_pow(self):
+        # column c: the odd prime powers q || 2c in increasing prime order
+        # (padded with q = 1), then the power of 2; e_q = (2c/q) ((2c/q)^-1 mod q)
+        c_max = 4000
+        qs, es = _crt_idempotents(c_max, _prime_power_sieve(c_max)[1])
+        for c in range(2, c_max + 1):
+            n, factors, p = 2 * c, [], 3
+            while n % 2 == 0:
+                n //= 2
+            while p * p <= n:
+                if n % p == 0:
+                    factors.append(1)
+                    while n % p == 0:
+                        n //= p
+                        factors[-1] *= p
+                p += 2
+            factors += [n] if n > 1 else []
+            factors.append(2 * c // math.prod(factors))
+            col = qs[:, c].tolist()
+            assert [q for q in col if q > 1] == factors, c
+            assert all(q > 1 for q in col[:len(factors) - 1]), c
+            for q, e in zip(col, es[:, c].tolist()):
+                cof = 2 * c // q
+                assert e == cof * pow(cof, -1, q), (c, q)
 
     def test_scan_matches_all_residue_scan_when_p_divides_n(self):
         # n = 1 - 24m = 1225 = 5^2 7^2 and 625 = 5^4 give moduli divisible by

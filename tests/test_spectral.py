@@ -9,8 +9,9 @@ import pytest
 from mpmath import mp
 
 import maasslab
+from maasslab import special, spectral
 from maasslab.context import PrecisionContext
-from maasslab.exact import chi12_sqrt, eta_multiplier, trace_cm_exact
+from maasslab.exact import chi12_sqrt, eta_multiplier, kloosterman_table, trace_cm_exact
 from maasslab.matrices import S_MAT, T_power
 from maasslab.modforms import F_expansion, eta_eval
 from maasslab.spectral import (assemble_H, assemble_Z, coeff_a, delta_op,
@@ -82,6 +83,39 @@ class TestPoleStructure:
             for v in values:
                 assert isinstance(v, mp.mpf)
                 assert abs(v - chi12_sqrt(n)) < mp.mpf("1e-14"), n
+
+
+class TestGridCaches:
+    """pole_residue and pole_finite_part read one s-grid: its Bessel weight
+    rows and c(s) are built once, and a warm call returns the bits of a
+    cold one."""
+
+    def test_caches_are_module_functools_caches(self):
+        # the scan a benchmark uses to clear every package cache between rounds
+        for mod, fn in ((spectral, spectral._bessel_weights), (special, special.c_factor)):
+            found = [v for v in vars(mod).values()
+                     if hasattr(v, "cache_clear") and hasattr(v, "cache_info")]
+            assert any(v is fn for v in found), fn
+
+    @pytest.mark.parametrize("with_table", [True, False])
+    def test_warm_poles_are_bit_identical(self, ctx30, ktable, with_table):
+        table = ktable if with_table else None
+        for fn in (pole_residue, pole_finite_part):
+            for n in (1, 25):
+                for cache in (spectral._bessel_weights, special.c_factor,
+                              kloosterman_table):
+                    cache.cache_clear()
+                cold = fn(n, 5000, ctx30, table)
+                hits = spectral._bessel_weights.cache_info().hits
+                warm = fn(n, 5000, ctx30, table)
+                # seven grid points, each row and c(s) taken from the caches
+                assert spectral._bessel_weights.cache_info().hits == hits + 7
+                assert [v._mpf_ for v in warm] == [v._mpf_ for v in cold], (fn, n)
+
+    def test_weight_rows_are_read_only(self):
+        w = spectral._bessel_weights(25, 0.76, 100)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 class TestConstantTermSimplification:

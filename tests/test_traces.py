@@ -508,6 +508,31 @@ class TestRaySeeds:
                     shi = phase * 2 * mp.shi(2 * mp.pi * kappa / Y)
                     assert abs(shi - quad) < mp.mpf("1e-30"), (Y, form)
 
+    def test_guard_digits_cover_every_seed(self):
+        # the largest exponent on the rays of every b' < 60: f's e(-tau) and
+        # the cusp-oo seeds at the top y = 1/2, the cusp-x0 seed at y0; the
+        # guard budgets e^{2 pi max(y, 1/sqrt 6)}, e^{pi} at y = 1/2
+        Y = mp.mpf(traces._Y1.numerator) / traces._Y1.denominator
+        with mp.workdps(30):
+            top, low = 2 * mp.pi * Y, mp.zero
+            for b in (b for b in range(1, 60) if math.gcd(b, 6) == 1):
+                for form in _ray_forms(b):
+                    Q = BQF(*form)
+                    cusp = Fraction(-Q.c, Q.b)
+                    x0 = mp.mpf(cusp.numerator) / cusp.denominator
+                    y0 = 1 / (Q.b * mp.sqrt(6))
+                    for _, sigma in _damp_sigmas(Q):
+                        _, kappa, at_oo = _ray_seed(sigma, x0, cusp)
+                        if at_oo:
+                            top = max(top, 2 * mp.pi * kappa * Y)
+                        else:
+                            low = max(low, 2 * mp.pi * kappa / y0)
+            eps = mp.mpf(10) ** -25
+            assert top <= 2 * mp.pi * Y + eps
+            assert low <= 2 * mp.pi / mp.sqrt(6) + eps
+            guard = traces._damp_guard_digits(traces._Y1)
+            assert guard == int(max(top, low) / mp.log(10)) + 10 == 11
+
     def test_rejects_sigma_off_the_cusp(self):
         # c x0 + d = 6 (-2/5) + 1 != 0: sigma does not send x0 to oo
         with pytest.raises(ValueError):
