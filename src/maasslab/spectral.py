@@ -3,9 +3,10 @@ for square n, assembly and pointwise evaluation of the two depth-3/2
 expansions (level 1 in q^{1/24}, level 4 in q), and finite-difference
 xi / Laplacian / modularity verification operators.
 
-The c-sums run in float64 (deterministic, fixed order) with the divergent
-main term of the square-index case resummed analytically; prefactors,
-extrapolation, and everything downstream stay in mpmath.
+The c-sums run in float64 (deterministic, fixed order), with Bessel weights
+from their power series, and the divergent main term of the square-index
+case resummed analytically; prefactors, extrapolation, and everything
+downstream stay in mpmath.
 """
 
 from __future__ import annotations
@@ -72,20 +73,69 @@ def _tail_integral(a, nu, X):
     return lead * (1 / (nu - mp.mpf(1) / 2) + rest)
 
 
+_BESSEL_X0 = 4.0     # J weights at larger arguments come from mpmath
+
+
+def _bessel_series(nu: float, zmax: float) -> list:
+    """c_k = 1/(k! Gamma(nu + k + 1)), k = 0, ..., K, of the power series
+    J_nu(x) = h^nu sum_k c_k (-h^2)^k, h = x/2 (I_nu with +h^2), with K the
+    least index >= 2 whose next term c_{K+1} zmax^{K+1} is below 2^-60 of
+    sum_{k<=K} c_k zmax^k and whose next term ratio zmax/((K+2)(nu+K+2)) is
+    at most 1/2; zmax is the row's largest h^2."""
+    coeffs = [1 / math.gamma(nu + 1)]
+    total = term = coeffs[0]
+    k = 1
+    while True:
+        ck = coeffs[-1] / (k * (nu + k))
+        term *= zmax / (k * (nu + k))
+        if k > 2 and term < 2.0 ** -60 * total and 2 * zmax <= (k + 1) * (nu + k + 1):
+            return coeffs
+        coeffs.append(ck)
+        total += term
+        k += 1
+
+
 @lru_cache(maxsize=32)
 def _bessel_weights(n: int, s: float, c_max: int) -> np.ndarray:
     """J_{2s-1}(pi sqrt n / 6c) for c = 1, ..., c_max (I-Bessel for n < 0) in
     float64: the weights of coeff_a's c-sum, as one read-only array.
 
+    With nu = 2s - 1 > -1, x = pi sqrt|n| / 6c and h = x/2, an entry is
+    h^nu P(+h^2) for I and h^nu P(-h^2) for J with x <= X0 = 4, where
+    P(z) = sum_{k<=K} c_k z^k is summed by Horner over the row in float64;
+    _bessel_series gives c_k and K.  Every c_k is positive and past K the
+    terms at zmax shrink by at least 1/2 each, so the omitted tail is below
+    2^-59 of sum_k c_k |z|^k = h^-nu I_nu(x), at zmax and (the tail having
+    the higher powers) at every smaller h^2 of the row.  That sum also
+    bounds the Horner rounding: an I row has no cancellation and keeps a
+    relative error below 2K 2^-53 (K <= 16 at x = 4, 63 at n = -9601); a J
+    row's alternating sum cancels, so it keeps an absolute error of about
+    I_nu(X0) 2^-52 (I_{1/2}(4) = 11), which is why J entries with x > X0,
+    i.e. c < pi sqrt n / 24 (c = 1 for 59 <= n <= 233, c <= 2 up to 525),
+    come from mpmath besselj at 20 digits instead.
+
     Cached by (n, float(s), c_max), so that pole_residue and pole_finite_part,
     which read the same s-grid, build each row once (a kloosterman-series
-    round takes 20 rows).  scipy is imported here, so that the rest of the
-    package loads without it."""
-    from scipy.special import iv, jv
-
+    round takes 20 rows)."""
+    nu = 2 * s - 1
+    if nu <= -1:
+        raise ValueError("the Bessel order 2s - 1 must exceed -1")
     cs = np.arange(1, c_max + 1, dtype=np.float64)
-    arg = math.pi * math.sqrt(abs(n)) / 6.0 / cs
-    w = jv(2 * s - 1, arg) if n > 0 else iv(2 * s - 1, arg)
+    x = math.pi * math.sqrt(abs(n)) / 6.0 / cs
+    big = int(np.count_nonzero(x > _BESSEL_X0)) if n > 0 else 0
+    w = np.empty(c_max)
+    with mp.workdps(20):
+        w[:big] = [float(mp.besselj(nu, xc)) for xc in x[:big]]
+    h = x[big:] / 2
+    z = h * h
+    coeffs = _bessel_series(nu, float(z[0]) if len(z) else 0.0)
+    if n > 0:
+        z = -z
+    p = np.full_like(h, coeffs[-1])
+    for ck in reversed(coeffs[:-1]):
+        p *= z
+        p += ck
+    w[big:] = h ** nu * p
     w.flags.writeable = False
     return w
 

@@ -1,14 +1,17 @@
 """Test oracles: the second routes that the package itself does not take
 (defining-sum Dedekind and Kloosterman sums, partitions by enumeration,
-h*(d) of squares, Whittaker functions and j by other formulas, the dampened
-f_Q pointwise, the Gamma0(6) class search), and views of private kernels."""
+h*(d) of squares, Whittaker functions and j by other formulas, scipy's
+Bessel functions, the dampened f_Q pointwise, the Gamma0(6) class search),
+and views of private kernels."""
 
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp
 from mpmath.libmp import to_fixed
+from scipy.special import iv, jv
 
 from maasslab import modforms
 from maasslab.context import DEFAULT_CTX, PrecisionContext
@@ -51,6 +54,14 @@ def kloosterman_K_eta(m: int, n: int, c: int, ctx: PrecisionContext = DEFAULT_CT
     the eta-multiplier Kloosterman sum; satisfies A_c(n) = K(0,-n,c)."""
     return _root_sum((_eta_phase(d, c) + 12 * (pow(d, -1, c) * m + d * n)
                       for d in _units(c)), 12 * c, ctx)
+
+
+def bessel_weights_scipy(n: int, s: float, c_max: int) -> np.ndarray:
+    """spectral._bessel_weights from scipy's jv/iv: J_{2s-1}(pi sqrt n / 6c)
+    for c = 1, ..., c_max (I-Bessel for n < 0)."""
+    cs = np.arange(1, c_max + 1, dtype=np.float64)
+    arg = math.pi * math.sqrt(abs(n)) / 6.0 / cs
+    return jv(2 * s - 1, arg) if n > 0 else iv(2 * s - 1, arg)
 
 
 def iter_partitions(n: int, max_part: int | None = None):

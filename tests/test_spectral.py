@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -17,7 +18,7 @@ from maasslab.modforms import F_expansion, eta_eval
 from maasslab.spectral import (assemble_H, assemble_Z, coeff_a, delta_op,
                                modularity_residual, neville_at_zero,
                                pole_finite_part, pole_residue, xi_op)
-from support import kloosterman_k
+from support import bessel_weights_scipy, kloosterman_k
 
 
 class TestCoeffA:
@@ -116,6 +117,59 @@ class TestGridCaches:
         w = spectral._bessel_weights(25, 0.76, 100)
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+class TestBesselWeights:
+    """_bessel_weights (power series, mpmath for J above X0) against scipy."""
+
+    @pytest.mark.parametrize("n", [-9601, -479, -71, -23, 1, 25, 73, 145, 361,
+                                   601, 9601])
+    def test_rows_match_scipy(self, n):
+        # n >= 59 take c < pi sqrt n / 24 from mpmath, the rest the series
+        for s in [float(s) for s in spectral.s_grid()] + [0.75, 1.0, 1.1, 2.0]:
+            w = spectral._bessel_weights(n, s, 10_000)
+            ref = bessel_weights_scipy(n, s, 10_000)
+            assert w.shape == ref.shape
+            assert np.all(np.abs(w - ref) <= 1e-12 * np.abs(ref) + 1e-15), (n, s)
+
+    def test_mpmath_takes_the_j_entries_above_x0(self, monkeypatch):
+        args = []
+        for name in ("besselj", "besseli"):
+            monkeypatch.setattr(mp, name, lambda nu, x, fn=getattr(mp, name):
+                                args.append(x) or fn(nu, x))
+        for n, big in ((-23, 0), (25, 0), (73, 1), (145, 1), (-479, 0), (361, 2),
+                       (-9601, 0), (9601, 12)):
+            args.clear()
+            spectral._bessel_weights.__wrapped__(n, 0.76, 100)
+            assert len(args) == big, n
+            assert all(x > spectral._BESSEL_X0 for x in args), n
+
+    def test_series_cut(self):
+        # K is the least index >= 2 whose next term at the row's largest
+        # argument is below 2^-60 of the kept sum and whose next ratio is at
+        # most 1/2; at zmax = 8e4 the ratio is what decides
+        for nu in (-0.5, 0.5, 0.52, 1.0, 3.0):
+            for zmax in (0.07, 1.0, 4.0, 658.0, 8e4):
+                coeffs = spectral._bessel_series(nu, zmax)
+                K = len(coeffs) - 1
+                terms = [coeffs[0]]
+                for k in range(1, K + 2):
+                    terms.append(terms[-1] * zmax / (k * (nu + k)))
+
+                def small(k):
+                    return terms[k + 1] < 2.0 ** -60 * sum(terms[:k + 1])
+
+                def shrinks(k):
+                    return 2 * zmax <= (k + 2) * (nu + k + 2)
+
+                assert K >= 2 and small(K) and shrinks(K)
+                assert K == 2 or not (small(K - 1) and shrinks(K - 1))
+                assert small(K - 1) == (zmax == 8e4)
+                assert coeffs[0] == 1 / math.gamma(nu + 1)
+
+    def test_order_must_exceed_minus_one(self):
+        with pytest.raises(ValueError):
+            spectral._bessel_weights(25, 0.0, 10)
 
 
 class TestConstantTermSimplification:
@@ -234,11 +288,24 @@ class TestModularity:
 
 
 def test_package_loads_without_scipy():
-    # only coeff_a's float Bessel weights need scipy, and coeff_a imports it
-    code = ("import sys, maasslab.traces, maasslab.innerprod, maasslab.spectral, "
-            "maasslab.cli; sys.exit('scipy' in sys.modules)")
+    # scipy is a test-only oracle: the package imports it nowhere, also not
+    # while it builds Bessel weight rows (series and mpmath branches alike)
+    code = ("import sys\n"
+            "from mpmath import mp\n"
+            "from maasslab import innerprod, traces\n"
+            "from maasslab.cli import main\n"
+            "from maasslab.spectral import coeff_a, pole_finite_part, pole_residue\n"
+            "coeff_a(-23, mp.mpf(3) / 4, 2000)\n"
+            "coeff_a(73, mp.mpf(3) / 4, 2000)\n"
+            "pole_residue(1, 2000)\n"
+            "pole_finite_part(25, 2000)\n"
+            "assert main(['--no-timing', 'coeff', '--n', '-23']) == 0\n"
+            "print('scipy' in sys.modules)\n")
     src = str(Path(maasslab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    *cli, loaded = proc.stdout.splitlines()
+    assert '"command": "coeff"' in cli[-1]
+    assert loaded == "False"
