@@ -90,9 +90,9 @@ def _ctx(args) -> PrecisionContext:
 
 
 def _build_H(args, ctx):
-    """The depth-3/2 expansion H up to --n-max, its non-square traces from
-    Kloosterman series cut at min(--c-max, 4000)."""
-    traces = build_trace_table(args.n_max, ctx, c_max=min(args.c_max, 4000))
+    """The depth-3/2 expansion H up to --n-max, its traces from
+    traces.trace at --digits (build_trace_table)."""
+    traces = build_trace_table(args.n_max, ctx)
     return assemble_H(args.n_max, traces=traces, ctx=ctx)
 
 
@@ -203,7 +203,7 @@ def cmd_eval(args):
 def cmd_innerprod(args):
     ctx = _ctx(args)
     if args.level == "level1":
-        traces = build_trace_table(args.d, ctx, c_max=min(args.c_max, 4000))
+        traces = build_trace_table(args.d, ctx)
         res = ip_level1(args.d, Y=args.Y, ctx=ctx, traces=traces)
     else:
         res = ip_level4(args.d, Y=args.Y, ctx=ctx)
@@ -294,7 +294,9 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--digits", type=int, default=argparse.SUPPRESS,
                         help="working precision (default 60 or MAASSLAB_DIGITS)")
-    common.add_argument("--c-max", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--c-max", type=int, default=argparse.SUPPRESS,
+                        help="Kloosterman cutoff of coeff and verify prop51 "
+                             "(default 10000)")
     common.add_argument("--n-max", type=int, default=argparse.SUPPRESS)
     common.add_argument("--Y", type=float, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=["json", "csv", "text"],

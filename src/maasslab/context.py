@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
@@ -27,9 +27,6 @@ class PrecisionContext:
     def __post_init__(self):
         if self.digits < 20:
             raise ValueError("need at least 20 working digits")
-
-    def with_digits(self, digits: int) -> "PrecisionContext":
-        return replace(self, digits=digits)
 
     @property
     def eps(self):

@@ -26,7 +26,7 @@ from .exact import (UnitRoot24, chi12, chi12_sqrt, is_square,
 from .harmonic import HarmonicExpansion, ModeTerm
 from .matrices import GroupElement
 from .special import c_factor, richardson
-from .traces import trace_square
+from .traces import trace, trace_square
 
 
 @dataclass(frozen=True)
@@ -200,15 +200,6 @@ def coeff_a(n: int, s, c_max: int,
         return CoeffResult(n, +s, +value, pole_subtracted, +err)
 
 
-def trace_cycle_kloosterman(n: int, c_max: int, ctx: PrecisionContext,
-                            table: dict):
-    """Tr_n(f) = (2/sqrt pi) a(n, 3/4) for positive non-square n: the cheap
-    route used to build large coefficient tables."""
-    res = coeff_a(n, mp.mpf(3) / 4, c_max, ctx, table)
-    with mp.workdps(ctx.digits + 10):
-        return +(2 / mp.sqrt(mp.pi) * res.value), +(2 / mp.sqrt(mp.pi) * res.err_est)
-
-
 # ---------------------------------------------------------------------------
 # s -> 3/4 extrapolation
 # ---------------------------------------------------------------------------
@@ -296,22 +287,14 @@ def finite_part_prediction(n: int, ctx: PrecisionContext = DEFAULT_CTX):
 # Assembly of the two depth-3/2 expansions
 # ---------------------------------------------------------------------------
 
-def build_trace_table(n_max: int, ctx: PrecisionContext, c_max: int):
-    """Tr_n(f) for 0 < n <= n_max, n = 1 mod 24, as {n: (value, err_est)}:
-    regularized ray integrals at min(ctx.digits, 30) digits for squares, the
-    Kloosterman series cut at c_max for the rest."""
+def build_trace_table(n_max: int, ctx: PrecisionContext):
+    """Tr_n(f) for 0 < n <= n_max, n = 1 mod 24, as {n: (value, err_est)},
+    each from traces.trace at ctx: cycle integrals over the closed geodesics
+    for non-square n, regularized ray integrals for squares."""
     table = {}
-    ms = tuple((1 - n) // 24 for n in range(1, n_max + 1) if n % 24 == 1)
-    ktab = kloosterman_table(c_max, ms)
-    sq_ctx = ctx.with_digits(min(ctx.digits, 30))
-    for n in range(1, n_max + 1):
-        if n % 24 != 1:
-            continue
-        if is_square(n):
-            tv = trace_square(n, sq_ctx)
-            table[n] = (tv.value, tv.err_est)
-        else:
-            table[n] = trace_cycle_kloosterman(n, c_max, ctx, ktab)
+    for n in range(1, n_max + 1, 24):
+        tv = trace(n, ctx)
+        table[n] = (tv.value, tv.err_est)
     return table
 
 

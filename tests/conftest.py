@@ -7,8 +7,9 @@ from maasslab.modforms import E4_eval, eta_eval
 from maasslab.spectral import assemble_H, build_trace_table
 
 # m-values covering: Lehmer/S(n,x) checks (|m| <= 5), the acceptance indices
-# n in {-23,-47,-71,-95,-119, 1, 25, 73, 97, 145}, and every non-square
-# 0 < n <= 361 needed by the depth-3/2 assembly.
+# n in {-23,-47,-71,-95,-119, 1, 25, 73, 97, 145}, and the other non-square
+# 0 < n <= 361 (m down to -14, which test_scan_matches_exact reads; the
+# full-table check covers every m).
 SCAN_MS = tuple(sorted({0, 1, 2, 3, 4, 5, -1, -2, -3, -4, -5,
                         -6, -8, -9, -10, -11, -13, -14}))
 SCAN_CMAX = 10_000
@@ -64,10 +65,11 @@ def ktable():
 
 
 @pytest.fixture(scope="session")
-def trace_table(ctx30, ktable):
-    """Tr_n(f) for 0 < n <= 361: squares by regularized quadrature (at
-    30 digits), the rest through the Kloosterman series."""
-    return build_trace_table(N_MAX_H, ctx30, c_max=4000)
+def trace_table(ctx30):
+    """Tr_n(f) for 0 < n <= 361 at 30 digits, from traces.trace: cycle
+    integrals over the closed geodesics for non-squares, regularized ray
+    integrals for squares."""
+    return build_trace_table(N_MAX_H, ctx30)
 
 
 @pytest.fixture(scope="session")

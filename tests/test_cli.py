@@ -16,6 +16,12 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def parse_mpc(text):
+    """The mpc of a CLI complex value printed as "(re + imj)"."""
+    re_s, op, im_s = re.fullmatch(r"\((\S+) ([+-]) (\S+)j\)", text).groups()
+    return mp.mpc(mp.mpf(re_s), mp.mpf(im_s) * (-1 if op == "-" else 1))
+
+
 def test_hurwitz_exact_rational(capsys):
     code, out = run_cli(capsys, "--no-timing", "hurwitz", "--n", "0")
     doc = json.loads(out)
@@ -141,13 +147,12 @@ def test_eval_f_matches_oracle_and_is_deterministic(capsys, f_oracle):
     _, out2 = run_cli(capsys, *argv)
     assert code == 0 and out1 == out2
     doc = json.loads(out1)
-    re_s, op, im_s = re.fullmatch(r"\((\S+) ([+-]) (\S+)j\)", doc["values"]["value"]).groups()
-    val = mp.mpc(mp.mpf(re_s), mp.mpf(im_s) * (-1 if op == "-" else 1))
+    val = parse_mpc(doc["values"]["value"])
     ref = f_oracle(mp.mpc("0.13", "0.002"), PrecisionContext(digits=25))
     assert abs(val - ref) <= mp.mpf(doc["err_est"])
 
 
-H_ARGS = ("--no-timing", "--digits", "25", "--n-max", "25", "--c-max", "500")
+H_ARGS = ("--no-timing", "--digits", "25", "--n-max", "25")
 
 
 def test_verify_H_identities(capsys):
@@ -162,7 +167,7 @@ def test_eval_H_matches_library(capsys):
     assert code == 0
     ctx = PrecisionContext(digits=25)
     with mp.workdps(35):
-        H = assemble_H(25, traces=build_trace_table(25, ctx, c_max=500), ctx=ctx)
+        H = assemble_H(25, traces=build_trace_table(25, ctx), ctx=ctx)
         val = H.eval(mp.mpc("0.1", "1.1"), ctx)
         assert json.loads(out)["values"]["value"] == mp.nstr(val, 25)
 
@@ -186,16 +191,24 @@ def test_main_restores_mp_dps(capsys):
     assert mp.dps == before
 
 
-def test_innerprod_level1_honours_c_max(capsys):
-    numeric = {}
+# Tr_73 from bench/refs/cycle.json
+TR_73 = "-0.47850317810637678058681489864079534500365789605493"
+
+
+def test_innerprod_level1_ignores_c_max(capsys):
+    # the trace table comes from the geodesic traces at --digits; --c-max is
+    # only echoed in config
+    values = {}
     for c_max in ("500", "2000"):
         code, out = run_cli(capsys, "--no-timing", "--digits", "25", "--c-max", c_max,
                             "innerprod", "level1", "--d", "73")
         assert code == 0
         doc = json.loads(out)
         assert doc["config"]["c_max"] == int(c_max)
-        numeric[c_max] = doc["values"]["numeric"]
-    assert numeric["500"] != numeric["2000"]
+        values[c_max] = doc["values"]
+    assert values["500"] == values["2000"]
+    closed = parse_mpc(values["500"]["closed"])
+    assert abs(closed + mp.mpf(TR_73) / mp.sqrt(24)) < mp.mpf("1e-20")
 
 
 KLOOSTERMAN_7_2 = (
@@ -221,7 +234,7 @@ def test_kloosterman_has_no_method_flag(capsys):
 
 def test_innerprod_level1_bad_index_exit2(capsys):
     # the trace table built for d = 26 has no Tr_26; the index is rejected first
-    code, out = run_cli(capsys, "--no-timing", "--digits", "25", "--c-max", "500",
+    code, out = run_cli(capsys, "--no-timing", "--digits", "25",
                         "innerprod", "level1", "--d", "26")
     assert code == 2
     assert "1 mod 24" in json.loads(out)["error"]

@@ -189,7 +189,7 @@ class TestGamma0SixPlusKernel:
         # is largest: f_eval keeps 8 of its 10 guard digits against the
         # oracle at 20 more digits (without the _GUARD bits it keeps about 5)
         ctx = PrecisionContext(digits=digits)
-        fine = ctx.with_digits(digits + 20)
+        fine = PrecisionContext(digits=digits + 20)
         y_min = mp.sqrt(2) / 6
         tol = mp.mpf(10) ** (-digits - 8)
         for x, y in ((mp.mpf(1) / 3, y_min * (1 + mp.mpf("1e-9"))), (-mp.mpf(1) / 3, y_min),
@@ -212,7 +212,7 @@ class TestGamma0SixPlusKernel:
             with mp.workdps(digits + lost + 40):
                 tau = mp.mpc(rng.uniform(-1, 1), mp.mpf(10) ** -k)
             inner = PrecisionContext(digits=digits + lost + 5)
-            ref = f_oracle(tau, inner.with_digits(inner.digits + 20))
+            ref = f_oracle(tau, PrecisionContext(digits=inner.digits + 20))
             assert abs(f_eval(tau, inner) - ref) <= \
                 mp.mpf(10) ** (-digits - 5) * max(1, abs(ref)), tau
 
@@ -222,7 +222,7 @@ class TestGamma0SixPlusKernel:
         # the series is 12 + O(e^{-2 pi y}): the relative error stays at the
         # working precision
         ctx = PrecisionContext(digits=digits)
-        fine = ctx.with_digits(digits + 20)
+        fine = PrecisionContext(digits=digits + 20)
         tol = mp.mpf(10) ** (-digits - 8)
         for y in (10, 20, 40):
             for x in ("0.1", "-0.37", "0.5"):
@@ -265,7 +265,7 @@ class TestGamma0SixPlusKernel:
         # Im tau >= 1/2 is never moved by the reduction, so these points sum
         # only the terms their own height needs
         ctx = PrecisionContext(digits=digits)
-        fine = ctx.with_digits(digits + 20)
+        fine = PrecisionContext(digits=digits + 20)
         tol = mp.mpf(10) ** (-digits - 8)
         rng = random.Random(digits + 1)
         for _ in range(100):

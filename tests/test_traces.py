@@ -105,6 +105,13 @@ class TestCycleTraces:
         for n, ref in CYCLE_REFS.items():
             assert abs(cycle_runs[n][1].value - mp.mpf(ref)) < mp.mpf("1e-25"), n
 
+    def test_trace_table_matches_refs(self, trace_table):
+        # the fixture's non-square entries are geodesic traces at 30 digits
+        for n, ref in CYCLE_REFS.items():
+            value, err_est = trace_table[n]
+            assert abs(value - mp.mpf(ref)) < mp.mpf("1e-25"), n
+            assert abs(value - mp.mpf(ref)) <= err_est, n
+
     def test_err_est_carries_the_rounding_floor(self):
         # at 20 digits the last doubling differences (5.9e-37 for 73) lie far
         # below the rounding of f at the ends of the geodesic, so err_est is
@@ -347,7 +354,7 @@ class TestWarmStart:
                 for i, tau in enumerate(taus):
                     value = f_eval(tau, inner, hint)
                     if i % 10 == 0:
-                        ref = f_oracle(tau, inner.with_digits(inner.digits + 20))
+                        ref = f_oracle(tau, PrecisionContext(digits=inner.digits + 20))
                         assert abs(value - ref) <= tol * max(1, abs(ref)), (n, tau)
 
     def test_matrix_maps_tau_to_reduced_point(self):
@@ -540,12 +547,12 @@ class TestRaySeeds:
 
 
 class TestSquareTraces:
-    def test_n1_value_stability(self, ctx30):
-        tv = trace_square(1, ctx30.with_digits(25))
+    def test_n1_value_stability(self):
+        tv = trace_square(1, PrecisionContext(digits=25))
         assert abs(tv.value - mp.mpf("-1.64869598075097870847")) < mp.mpf("1e-15")
 
-    def test_u_choice_invariance(self, ctx30, monkeypatch):
-        ctx = ctx30.with_digits(22)
+    def test_u_choice_invariance(self, monkeypatch):
+        ctx = PrecisionContext(digits=22)
         a = trace_square(25, ctx)
         rays = []
         integrate = traces.damped_ray_integral
