@@ -360,7 +360,7 @@ def f_eval(tau, ctx: PrecisionContext = DEFAULT_CTX, hint=None):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def f_qexp(trunc: int = 60) -> QSeries:
+def f_qexp(trunc: int) -> QSeries:
     """E:f quotient, exponent denominator 1, integer coefficients."""
     t = trunc + 4
     e4 = eisenstein_E4(t)
@@ -381,7 +381,7 @@ def f_qexp(trunc: int = 60) -> QSeries:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def hd_construct(d: int, trunc24: int = 24 * 4 + 23) -> QSeries:
+def hd_construct(d: int, trunc24: int) -> QSeries:
     """h_d = q^{-d/24} + A(d,-1) q^{-1/24} + O(q^{23/24}) built as
     P_d(j) * h_25 with h_25 = -Theta(j)/eta; exact integer coefficients.
 
@@ -459,7 +459,7 @@ def _solve_exact(A, b):
 # Harmonic expansions of F and the level-4 Zagier form
 # ---------------------------------------------------------------------------
 
-def F_expansion(trunc24: int = 24 * 16) -> HarmonicExpansion:
+def F_expansion(trunc24: int) -> HarmonicExpansion:
     """The weight-3/2 harmonic form built from the smallest-parts counts:
     hol part sum s((n+1)/24) q^{n/24} starting at s(0) q^{-1/24}, nonhol part
     -(1/2) sum chi12(m) m beta_{3/2}(pi m^2 y/6) q^{-m^2/24}."""
@@ -575,7 +575,7 @@ def _gd_check(d: int, g: QSeries) -> None:
 
 
 @lru_cache(maxsize=64)
-def gd_construct(d: int, trunc: int = 60) -> QSeries:
+def gd_construct(d: int, trunc: int) -> QSeries:
     """g_d = q^{-d} + sum_{0 <= n = 0,3 (4)} B(d,n) q^n with B(d,0) = -2 iff
     d is a square; positive discriminants d = 0,1 mod 4.
 

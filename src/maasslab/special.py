@@ -272,14 +272,10 @@ def whittaker_M(y, s, ctx: PrecisionContext = DEFAULT_CTX):
 # Normalizing factors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def c_factor(s, ctx: PrecisionContext = DEFAULT_CTX):
     """c(s) = (2s-1) Gamma(s-1/4) Gamma(2s-1/2) (2^{2s-1/2}-1)(3^{2s-1/2}-1)
-    zeta(4s-1) / (6^{s-3/4} pi^{2s} Gamma(2s)).
-
-    Cached by the value of s and ctx, as beta_k is: the result is rounded
-    at ctx.digits + 10 whatever the caller's precision.  pole_residue and
-    pole_finite_part take it at the same seven points of one s-grid."""
+    zeta(4s-1) / (6^{s-3/4} pi^{2s} Gamma(2s)), rounded at ctx.digits + 10
+    whatever the caller's precision."""
     with mp.workdps(ctx.digits + 10):
         s = _as_mpf(s)
         num = ((2 * s - 1) * mp.gamma(s - mp.mpf(1) / 4)

@@ -5,8 +5,9 @@ xi / Laplacian / modularity verification operators.
 
 The c-sums run in float64 (deterministic, fixed order), with Bessel weights
 from their power series, and the divergent main term of the square-index
-case resummed analytically; prefactors, extrapolation, and everything
-downstream stay in mpmath.
+case resummed analytically; the pole at s = 3/4 comes from the Laurent
+expansion of that resummed tail.  Prefactors and everything downstream
+stay in mpmath.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
@@ -53,24 +53,32 @@ def _cesaro_pair(terms: np.ndarray):
     return _cesaro_value(terms), _cesaro_value(terms[:len(terms) // 2])
 
 
-def _tail_integral(a, nu, X):
-    """int_X^oo t^{-1/2} J_nu(a/t) dt via the Bessel power series (a/X small):
-    lead sum_k (-(a/2X)^2)^k / (k! (nu+1)_k (nu + 2k - 1/2)).  The k = 0 term
-    carries the pole 1/(nu - 1/2) at s = 3/4, so it and the common factor are
-    evaluated in mpmath at the exact nu = 2s - 1 of the prefactor; the terms
-    k >= 1, smaller by (a/2X)^2 each, are summed in float."""
-    lead = (a / 2) ** nu * X ** (mp.mpf(1) / 2 - nu) / mp.gamma(nu + 1)
-    nuf = float(nu)
-    ratio = -(float(a) / (2 * float(X))) ** 2
-    rest = 0.0
-    coeff = 1.0
+def _tail_lead(n: int, nu, X):
+    """lead = main (a/2)^nu X^{1/2-nu}/Gamma(nu+1), a = pi sqrt n/6, with
+    main = chi12(sqrt n) 6 sqrt 3/pi^2 half the constant of S(n,x) ~ 2 main
+    sqrt x: the main-term tail of square n is main int_X^oo t^{-1/2}
+    J_nu(a/t) dt = lead (1/(nu - 1/2) + rest) by the Bessel series (a/X
+    small).  1/(nu - 1/2) is the pole at s = 3/4, so lead takes the exact
+    nu = 2s - 1 in mpmath; at nu = 1/2 it has no X in it."""
+    main = chi12_sqrt(n) * 6 * mp.sqrt(3) / mp.pi ** 2
+    a = mp.pi * mp.sqrt(n) / 6
+    return main * (a / 2) ** nu * X ** (mp.mpf(1) / 2 - nu) / mp.gamma(nu + 1)
+
+
+def _tail_rest(n: int, nu: float, x):
+    """rest = sum_{k>=1} (-(a/2x)^2)^k / (k! (nu+1)_k (nu + 2k - 1/2)), the
+    terms k >= 1 of _tail_lead's series, each smaller by (a/2x)^2, summed in
+    float64 at one x or at every x of an array."""
+    ratio = -(math.pi * math.sqrt(n) / 12 / np.asarray(x, dtype=np.float64)) ** 2
+    rest = np.zeros_like(ratio)
+    coeff = np.ones_like(ratio)
     for k in range(1, 61):
-        coeff *= ratio / (k * (nuf + k))
-        term = coeff / (nuf + 2 * k - 0.5)
+        coeff *= ratio / (k * (nu + k))
+        term = coeff / (nu + 2 * k - 0.5)
         rest += term
-        if abs(term) <= 1e-17 * abs(rest):
+        if np.all(np.abs(term) <= 1e-17 * np.abs(rest)):
             break
-    return lead * (1 / (nu - mp.mpf(1) / 2) + rest)
+    return rest
 
 
 _BESSEL_X0 = 4.0     # J weights at larger arguments come from mpmath
@@ -95,10 +103,9 @@ def _bessel_series(nu: float, zmax: float) -> list:
         k += 1
 
 
-@lru_cache(maxsize=32)
 def _bessel_weights(n: int, s: float, c_max: int) -> np.ndarray:
     """J_{2s-1}(pi sqrt n / 6c) for c = 1, ..., c_max (I-Bessel for n < 0) in
-    float64: the weights of coeff_a's c-sum, as one read-only array.
+    float64: the weights of coeff_a's c-sum, built afresh on each call.
 
     With nu = 2s - 1 > -1, x = pi sqrt|n| / 6c and h = x/2, an entry is
     h^nu P(+h^2) for I and h^nu P(-h^2) for J with x <= X0 = 4, where
@@ -112,11 +119,7 @@ def _bessel_weights(n: int, s: float, c_max: int) -> np.ndarray:
     row's alternating sum cancels, so it keeps an absolute error of about
     I_nu(X0) 2^-52 (I_{1/2}(4) = 11), which is why J entries with x > X0,
     i.e. c < pi sqrt n / 24 (c = 1 for 59 <= n <= 233, c <= 2 up to 525),
-    come from mpmath besselj at 20 digits instead.
-
-    Cached by (n, float(s), c_max), so that pole_residue and pole_finite_part,
-    which read the same s-grid, build each row once (a kloosterman-series
-    round takes 20 rows)."""
+    come from mpmath besselj at 20 digits instead."""
     nu = 2 * s - 1
     if nu <= -1:
         raise ValueError("the Bessel order 2s - 1 must exceed -1")
@@ -136,8 +139,24 @@ def _bessel_weights(n: int, s: float, c_max: int) -> np.ndarray:
         p *= z
         p += ck
     w[big:] = h ** nu * p
-    w.flags.writeable = False
     return w
+
+
+def _c_terms(n: int, s: float, c_max: int, table) -> np.ndarray:
+    """The terms A_c((1-n)/24)/c * J_{2s-1}(pi sqrt n/6c), c <= c_max, of
+    coeff_a's c-sum; A_c from table if it reaches c_max, else a fresh scan."""
+    m = (1 - n) // 24
+    if table is None or m not in table or len(table[m]) <= c_max:
+        table = kloosterman_table(c_max, (m,))
+    cs = np.arange(1, c_max + 1, dtype=np.float64)
+    return table[m][1:c_max + 1] / cs * _bessel_weights(n, s, c_max)
+
+
+def _prefactor(n: int, s):
+    """2 pi Gamma(2s)/(|n|^{1/4} Gamma(s + sgn(n)/4)), a(n,s) over its c-sum."""
+    sgn = mp.mpf(1) / 4 if n > 0 else -mp.mpf(1) / 4
+    return 2 * mp.pi * mp.gamma(2 * s) / (mp.mpf(abs(n)) ** mp.mpf("0.25")
+                                          * mp.gamma(s + sgn))
 
 
 def coeff_a(n: int, s, c_max: int,
@@ -149,130 +168,112 @@ def coeff_a(n: int, s, c_max: int,
 
     For square n the sum carries the divergent main term
     chi12(sqrt n) (12 sqrt 3/pi^2) sqrt(t); its tail beyond c_max is resummed
-    analytically, which reproduces the 3/(sqrt pi (s-3/4)) pole as s -> 3/4.
-
-    The float Bessel weights come from _bessel_weights, cached by
-    (n, float(s), c_max); the terms A_c/c * w_c are formed afresh on each
-    call, so a cached row gives the same value and err_est as a new one."""
+    analytically (_tail_lead, _tail_rest), which reproduces the
+    3 chi12(sqrt n)/(sqrt pi (s-3/4)) pole as s -> 3/4.  pole_subtracted
+    (square n only) subtracts that pole; at s = 3/4 itself the value is then
+    the constant term a0 of _pole_laurent, with its err."""
     if n % 24 != 1 or n == 0:
         raise ValueError("index must be nonzero and 1 mod 24")
     sf = float(s)
     square = n > 0 and is_square(n)
+    if pole_subtracted and not square:
+        raise ValueError("pole subtraction only applies to square n")
     if square and sf <= 0.75 and not pole_subtracted:
         raise ArithmeticError("pole: a(n,s) diverges at s = 3/4 for square n")
     if not square and sf < 0.75:
         raise ValueError("s below 3/4")
-    m = (1 - n) // 24
-    if table is None or m not in table or len(table[m]) <= c_max:
-        table = kloosterman_table(c_max, (m,))
-    A = table[m][1:c_max + 1]
-    cs = np.arange(1, c_max + 1, dtype=np.float64)
-    w = _bessel_weights(n, sf, c_max)
-    terms = A / cs * w
-    chi = chi12_sqrt(n)
-    if chi:
-        # square index: plain truncation plus the analytic resummation of the
-        # S(n,x) main-term tail (this carries the s -> 3/4 pole)
-        full = float(terms.sum())
-        half = float(terms[:c_max // 2].sum())
-    else:
-        # no main term: iterated Cesaro averaging of the partial sums kills
-        # the oscillatory truncation error far better than plain truncation
-        full, half = _cesaro_pair(terms)
     with mp.workdps(ctx.digits + 10):
         s = mp.mpf(s)
+        if s == mp.mpf(3) / 4 and pole_subtracted:
+            _, a0, err = _pole_laurent(n, c_max, table)
+            return CoeffResult(n, +s, +a0, True, +err)
+        terms = _c_terms(n, sf, c_max, table)
         tail = tail_half = mp.mpf(0)
-        if chi:
-            # half the main-term constant: S(n,x) ~ chi (12 sqrt 3/pi^2) sqrt(x)
-            main = chi * 6 * mp.sqrt(3) / mp.pi ** 2
-            a_bes = mp.pi * mp.sqrt(n) / 6
-            tail = main * _tail_integral(a_bes, 2 * s - 1, mp.mpf(c_max))
-            tail_half = main * _tail_integral(a_bes, 2 * s - 1, mp.mpf(c_max) / 2)
-        sgn = mp.mpf(1) / 4 if n > 0 else -mp.mpf(1) / 4
-        pref = 2 * mp.pi * mp.gamma(2 * s) / (mp.mpf(abs(n)) ** mp.mpf("0.25")
-                                              * mp.gamma(s + sgn))
+        if square:
+            # plain truncation plus the analytic resummation of the S(n,x)
+            # main-term tail (this carries the s -> 3/4 pole)
+            full, half = float(terms.sum()), float(terms[:c_max // 2].sum())
+            nu = 2 * s - 1
+            tail, tail_half = (_tail_lead(n, nu, X) * (1 / (nu - mp.mpf(1) / 2)
+                                                       + float(_tail_rest(n, float(nu), X)))
+                               for X in (mp.mpf(c_max), mp.mpf(c_max) / 2))
+        else:
+            # no main term: iterated Cesaro averaging of the partial sums kills
+            # the oscillatory truncation error far better than plain truncation
+            full, half = _cesaro_pair(terms)
+        pref = _prefactor(n, s)
         value = pref * (mp.mpf(full) + tail)
         err = abs(pref) * abs((full + tail) - (half + tail_half))
         if pole_subtracted:
-            if not square:
-                raise ValueError("pole subtraction only applies to square n")
-            value -= chi * (3 / mp.sqrt(mp.pi)) / (s - mp.mpf(3) / 4)
+            value -= chi12_sqrt(n) * (3 / mp.sqrt(mp.pi)) / (s - mp.mpf(3) / 4)
         return CoeffResult(n, +s, +value, pole_subtracted, +err)
 
 
 # ---------------------------------------------------------------------------
-# s -> 3/4 extrapolation
+# The pole at s = 3/4
 # ---------------------------------------------------------------------------
 
-def neville_at_zero(hs, vs):
-    """Polynomial extrapolation of (h_k, v_k) to h = 0; returns (value, spread)."""
-    n = len(hs)
-    tab = [mp.mpmathify(v) for v in vs]
-    hs = [mp.mpf(h) for h in hs]
-    last = tab[-1]
-    for level in range(1, n):
-        new = []
-        for i in range(n - level):
-            num = hs[i] * tab[i + 1] - hs[i + level] * tab[i]
-            new.append(num / (hs[i] - hs[i + level]))
-        tab = new
-        prev, last = last, tab[-1]
-    return last, abs(last - prev)
+def _a_residue(n: int):
+    """r = pref lead/2 at s = 3/4 (_prefactor, _tail_lead at nu = 1/2), the
+    residue of a(n,s) at s = 3/4 for square n; it equals
+    3 chi12(sqrt n)/sqrt pi and has no c_max in it."""
+    if n % 24 != 1 or not is_square(n):
+        raise ValueError("a(n,s) has a pole at s = 3/4 for square n = 1 mod 24 only")
+    return _prefactor(n, mp.mpf(3) / 4) * _tail_lead(n, mp.mpf(1) / 2, 1) / 2
 
 
-def s_grid():
-    """s = 3/4 + 0.01 2^-k for k = 0, ..., 6."""
-    return [mp.mpf(3) / 4 + mp.mpf("0.01") * mp.mpf(2) ** (-k) for k in range(7)]
+def _pole_laurent(n: int, c_max: int, table):
+    """(r, a0, err): a(n,s) = r/(s - 3/4) + a0 + O(s - 3/4) for square n.
+
+    With h = s - 3/4 and X = c_max, coeff_a is pref (S_X(s) + lead (1/2h +
+    rest)), and d/ds log(pref lead) = gamma + ln(pi^2 n/(144 X^2)) at h = 0;
+    so with r = pref lead/2 (_a_residue), S_X = sum_{c<=X} A_c/c J_{1/2}(pi
+    sqrt n/6c) and all else at s = 3/4, a0 = pref S_X + r (2 rest + gamma +
+    ln(pi^2 n/(144 X^2))).  err is the largest distance from a0(X) of the
+    running constant term a0(x), X/2 <= x <= X (sum and tail cut at x),
+    plus c_max 2^-53 |pref| sum|terms| for the rounding of the float sum."""
+    r = _a_residue(n)
+    pref = _prefactor(n, mp.mpf(3) / 4)
+    terms = _c_terms(n, 0.75, c_max, table)
+    log0 = mp.euler + mp.log(mp.pi ** 2 * n / 144)    # gamma + ln(...) = log0 - 2 ln X
+    a0 = pref * mp.mpf(float(terms.sum())) + r * (
+        2 * float(_tail_rest(n, 0.5, c_max)) + log0 - 2 * mp.log(c_max))
+    xs = np.arange(max(c_max // 2, 1), c_max + 1)
+    running = float(pref) * np.cumsum(terms)[xs - 1] + float(r) * (
+        2 * _tail_rest(n, 0.5, xs) + float(log0) - 2 * np.log(xs))
+    err = (np.abs(running - running[-1]).max()
+           + c_max * 2.0 ** -53 * abs(float(pref)) * np.abs(terms).sum())
+    return r, a0, mp.mpf(float(err))
 
 
-def _extrapolate(hs, vals, errs):
-    """neville_at_zero plus the propagated coefficient error: the value at
-    h = 0 is sum_k L_k(0) v_k with the Lagrange weights L_k, so errors e_k
-    in the v_k move it by at most sum_k |L_k(0)| e_k."""
-    value, spread = neville_at_zero(hs, vals)
-    for k, hk in enumerate(hs):
-        weight = mp.mpf(1)
-        for j, hj in enumerate(hs):
-            if j != k:
-                weight *= hj / (hj - hk)
-        spread += abs(weight) * errs[k]
-    return value, spread
-
-
-def _pole_grid(n: int, c_max: int, ctx: PrecisionContext, table, residue: bool):
-    """c(s) a(n,s) on s_grid, extrapolated to h = s - 3/4 = 0: times h for
-    the residue, minus chi12(sqrt n)/h for the finite part."""
-    chi = chi12_sqrt(n)
-    with mp.workdps(ctx.digits + 10):
-        grid = s_grid()
-        hs = [s - mp.mpf(3) / 4 for s in grid]
-        vals, errs = [], []
-        for s, h in zip(grid, hs):
-            a = coeff_a(n, s, c_max, ctx, table)
-            if residue:
-                factor = h * c_factor(s, ctx)
-                vals.append(factor * a.value)
-            else:
-                factor = c_factor(s, ctx)
-                vals.append(factor * a.value - chi / h)
-            errs.append(abs(factor) * a.err_est)
-        return _extrapolate(hs, vals, errs)
+def _c_log_slope():
+    """c'(3/4)/c(3/4) = ln(288/pi^2) - gamma + 4 zeta'(2)/zeta(2): the sum of
+    the log-derivatives of special.c_factor's factors at s = 3/4."""
+    return mp.log(288 / mp.pi ** 2) - mp.euler + 4 * mp.zeta(2, 1, 1) / mp.zeta(2)
 
 
 def pole_residue(n: int, c_max: int,
                  ctx: PrecisionContext = DEFAULT_CTX, table: dict | None = None):
-    """lim (s-3/4) c(s) a(n,s), extrapolated; should equal chi12(sqrt n).
-
-    Returns (value, spread): the Neville spread plus the propagated c_max
-    truncation error of the coefficients."""
-    return _pole_grid(n, c_max, ctx, table, residue=True)
+    """lim (s-3/4) c(s) a(n,s) = c(3/4) r (_a_residue) for square n; should
+    equal chi12(sqrt n).  It comes from the resummed tail alone, so c_max and
+    table, kept to match pole_finite_part, do not change it.  Returns (value,
+    err_est), err_est the rounding floor 10^-ctx.digits."""
+    with mp.workdps(ctx.digits + 10):
+        return (+(c_factor(mp.mpf(3) / 4, ctx) * _a_residue(n)),
+                +mp.mpf(10) ** -ctx.digits)
 
 
 def pole_finite_part(n: int, c_max: int,
                      ctx: PrecisionContext = DEFAULT_CTX, table: dict | None = None):
-    """Constant term of c(s) a(n,s) at s = 3/4 for square n, extrapolated;
-    the spread is formed as in pole_residue."""
-    return _pole_grid(n, c_max, ctx, table, residue=False)
+    """Constant term of c(s) a(n,s) at s = 3/4 for square n, the pole
+    chi12(sqrt n)/(s - 3/4) removed: c(3/4) a0 + c'(3/4) r from _pole_laurent
+    and _c_log_slope.  Returns (value, err_est), err_est c(3/4) times
+    _pole_laurent's err (the truncation envelope) plus 10^-ctx.digits."""
+    with mp.workdps(ctx.digits + 10):
+        r, a0, err = _pole_laurent(n, c_max, table)
+        c = c_factor(mp.mpf(3) / 4, ctx)
+        return (+(c * (a0 + _c_log_slope() * r)),
+                +(c * err + mp.mpf(10) ** -ctx.digits))
 
 
 def finite_part_prediction(n: int, ctx: PrecisionContext = DEFAULT_CTX):

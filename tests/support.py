@@ -1,8 +1,9 @@
 """Test oracles: the second routes that the package itself does not take
 (defining-sum Dedekind and Kloosterman sums, partitions by enumeration,
 h*(d) of squares, Whittaker functions and j by other formulas, scipy's
-Bessel functions, the dampened f_Q pointwise, the Gamma0(6) class search),
-and views of private kernels."""
+Bessel functions, the finite part at s = 3/4 by extrapolation in s, the
+dampened f_Q pointwise, the Gamma0(6) class search), and views of private
+kernels."""
 
 import json
 import math
@@ -17,11 +18,12 @@ from maasslab import modforms
 from maasslab.context import DEFAULT_CTX, PrecisionContext
 from maasslab.bqf import (BQF, _transporter_in_gamma06, automorph, reduce_definite,
                           sl2_transporter_indefinite)
-from maasslab.exact import _eta_phase, _root_sum, _units, is_square
+from maasslab.exact import _eta_phase, _root_sum, _units, chi12_sqrt, is_square
 from maasslab.matrices import GroupElement
 from maasslab.modforms import E4_eval, E6_eval, eta_eval, f_eval
 from maasslab.qseries import QSeries
-from maasslab.special import _as_mpf, richardson, whittaker_Wn
+from maasslab.special import _as_mpf, c_factor, richardson, whittaker_Wn
+from maasslab.spectral import coeff_a
 from maasslab.traces import _damp_guard_digits, _damp_sigmas
 
 
@@ -62,6 +64,36 @@ def bessel_weights_scipy(n: int, s: float, c_max: int) -> np.ndarray:
     cs = np.arange(1, c_max + 1, dtype=np.float64)
     arg = math.pi * math.sqrt(abs(n)) / 6.0 / cs
     return jv(2 * s - 1, arg) if n > 0 else iv(2 * s - 1, arg)
+
+
+def neville_at_zero(hs, vs):
+    """Polynomial extrapolation of (h_k, v_k) to h = 0; returns (value, spread)."""
+    n = len(hs)
+    tab = [mp.mpmathify(v) for v in vs]
+    hs = [mp.mpf(h) for h in hs]
+    last = tab[-1]
+    for level in range(1, n):
+        new = []
+        for i in range(n - level):
+            num = hs[i] * tab[i + 1] - hs[i + level] * tab[i]
+            new.append(num / (hs[i] - hs[i + level]))
+        tab = new
+        prev, last = last, tab[-1]
+    return last, abs(last - prev)
+
+
+def pole_finite_part_neville(n: int, c_max: int, ctx: PrecisionContext, table):
+    """spectral.pole_finite_part by extrapolation in s: c(s) a(n,s) minus
+    chi12(sqrt n)/h from coeff_a at s = 3/4 + h, h = 0.01 2^-k for
+    k = 0, ..., 6, carried to h = 0 by neville_at_zero."""
+    chi = chi12_sqrt(n)
+    with mp.workdps(ctx.digits + 10):
+        hs = [mp.mpf("0.01") * mp.mpf(2) ** -k for k in range(7)]
+        vals = []
+        for h in hs:
+            s = mp.mpf(3) / 4 + h
+            vals.append(c_factor(s, ctx) * coeff_a(n, s, c_max, ctx, table).value - chi / h)
+        return neville_at_zero(hs, vals)[0]
 
 
 def iter_partitions(n: int, max_part: int | None = None):

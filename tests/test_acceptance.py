@@ -39,11 +39,11 @@ def test_criterion1_qexpansion_exactness():
     t0 = time.time()
     f = f_qexp(8)
     ok = (f.coeff(-1), f.coeff(0), f.coeff(1)) == (1, 12, 77)
-    h25 = hd_construct(25)
+    h25 = hd_construct(25, 24 * 4 + 23)
     ok &= (h25.coeff(-25), h25.coeff(-1), h25.coeff(23)) == (1, 1, -196882)
-    ok &= hd_construct(49).coeff(23) == -21296875
-    ok &= hd_construct(73).coeff(23) == -842609326
-    g1, g4, g5 = gd_construct(1), gd_construct(4), gd_construct(5)
+    ok &= hd_construct(49, 24 * 4 + 23).coeff(23) == -21296875
+    ok &= hd_construct(73, 24 * 4 + 23).coeff(23) == -842609326
+    g1, g4, g5 = gd_construct(1, 60), gd_construct(4, 60), gd_construct(5, 60)
     ok &= (g1.coeff(3), g1.coeff(4), g1.coeff(7)) == (248, -492, 4119)
     ok &= (g4.coeff(3), g4.coeff(4)) == (-26752, -143376)
     ok &= (g5.coeff(3), g5.coeff(4)) == (85995, -565760)

@@ -6,7 +6,7 @@ from mpmath import mp
 from maasslab.cli import main
 from maasslab.context import PrecisionContext
 from maasslab.modforms import gd_construct
-from maasslab.spectral import assemble_H, build_trace_table
+from maasslab.spectral import assemble_H, build_trace_table, coeff_a
 from maasslab.traces import trace_cycle
 
 
@@ -46,6 +46,28 @@ def test_determinism_byte_identical(capsys):
     _, out2 = run_cli(capsys, "--no-timing", "--digits", "25",
                       "kloosterman", "--c", "24", "--m", "1")
     assert out1 == out2
+
+
+def test_coeff_pole_subtracted_at_three_quarters(capsys):
+    # a(25, s) with its pole removed, at s = 3/4 itself: the constant term;
+    # without --pole-subtracted s = 3/4 is still an input error
+    argv = ("--no-timing", "--digits", "30", "--c-max", "2000",
+            "coeff", "--n", "25", "--s", "0.75")
+    code, out = run_cli(capsys, *argv, "--pole-subtracted")
+    assert code == 0
+    ref = coeff_a(25, mp.mpf(3) / 4, 2000, PrecisionContext(digits=30),
+                  pole_subtracted=True)
+    assert abs(mp.mpf(str(json.loads(out)["values"]["a"])) - ref.value) < mp.mpf("1e-20")
+    assert run_cli(capsys, *argv)[0] == 2
+
+
+def test_verify_prop51_defaults(capsys):
+    code, out = run_cli(capsys, "--no-timing", "verify", "prop51")
+    doc = json.loads(out)
+    assert code == 0 and doc["values"]["all_pass"]
+    row, = json.loads(doc["values"]["rows"])
+    assert set(row) == {"n", "residue", "residue_spread", "finite_part",
+                        "predicted", "pass"}
 
 
 def test_trace_cycle_long_period(capsys):

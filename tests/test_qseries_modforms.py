@@ -300,16 +300,16 @@ class TestGamma0SixPlusKernel:
 
 class TestHdFamily:
     def test_h25(self):
-        h = hd_construct(25)
+        h = hd_construct(25, 24 * 4 + 23)
         assert h.coeff(-25) == 1 and h.coeff(-1) == 1
         assert h.coeff(23) == -196882
 
     def test_h49(self):
-        h = hd_construct(49)
+        h = hd_construct(49, 24 * 4 + 23)
         assert h.coeff(-1) == 1 and h.coeff(23) == -21296875
 
     def test_h73(self):
-        h = hd_construct(73)
+        h = hd_construct(73, 24 * 4 + 23)
         assert h.coeff(-1) == 0 and h.coeff(23) == -842609326
 
     def test_residue_constraint(self):
@@ -324,30 +324,30 @@ class TestHdFamily:
         """The h_d build runs in integers: Theta(j) at exponents 24k/24 stays
         integral, so no coefficient is a Fraction."""
         for d in (25, 49, 73, 97):
-            h = hd_construct(d)
+            h = hd_construct(d, 24 * 4 + 23)
             assert all(type(c) is int for c in h.coeffs), d
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            hd_construct(24)
+            hd_construct(24, 24 * 4 + 23)
         with pytest.raises(ValueError):
-            hd_construct(1)
+            hd_construct(1, 24 * 4 + 23)
 
 
 class TestGdFamily:
     def test_g1(self):
-        g = gd_construct(1)
+        g = gd_construct(1, 60)
         assert g.coeff(-1) == 1 and g.coeff(0) == -2
         assert (g.coeff(3), g.coeff(4), g.coeff(7)) == (248, -492, 4119)
 
     def test_g4(self):
-        g = gd_construct(4)
+        g = gd_construct(4, 60)
         assert g.coeff(0) == -2
         assert (g.coeff(3), g.coeff(4)) == (-26752, -143376)
         assert g.coeff(7) == -8288256
 
     def test_g5(self):
-        g = gd_construct(5)
+        g = gd_construct(5, 60)
         assert g.coeff(0) == 0
         assert (g.coeff(3), g.coeff(4), g.coeff(7)) == (85995, -565760, 52756480)
 
@@ -394,9 +394,9 @@ class TestGdFamily:
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            gd_construct(7)
+            gd_construct(7, 60)
         with pytest.raises(ValueError):
-            gd_construct(-4)
+            gd_construct(-4, 60)
 
 
 class TestHarmonicExpansions:

@@ -235,19 +235,3 @@ class TestNormalizingFactors:
         c0 = c_factor(mp.mpf(3) / 4, CTX)
         for eps in (mp.mpf("1e-8"), -mp.mpf("1e-8")):
             assert abs(c_factor(mp.mpf(3) / 4 + eps, CTX) - c0) < mp.mpf("1e-6")
-
-    @pytest.mark.parametrize("digits", [30, 60])
-    def test_c_factor_cached_values_are_bit_identical(self, digits):
-        """A cache hit, taken at another ambient precision, returns the same
-        bits as an uncached evaluation, on the s-grid of the pole functions."""
-        ctx = PrecisionContext(digits=digits)
-        with mp.workdps(digits + 10):
-            grid = [mp.mpf(3) / 4 + mp.mpf("0.01") * mp.mpf(2) ** -k for k in range(7)]
-        for s in grid + [mp.mpf(3) / 4, mp.mpf(1)]:
-            fresh = c_factor.__wrapped__(s, ctx)
-            with mp.workdps(15):
-                c_factor(s, ctx)
-                hits = c_factor.cache_info().hits
-                cached = c_factor(s, ctx)
-                assert c_factor.cache_info().hits == hits + 1
-            assert cached._mpf_ == fresh._mpf_, s

@@ -10,15 +10,17 @@ import pytest
 from mpmath import mp
 
 import maasslab
-from maasslab import special, spectral
+from maasslab import spectral
 from maasslab.context import PrecisionContext
 from maasslab.exact import chi12_sqrt, eta_multiplier, kloosterman_table, trace_cm_exact
 from maasslab.matrices import S_MAT, T_power
 from maasslab.modforms import F_expansion, eta_eval
+from maasslab.special import c_factor
 from maasslab.spectral import (assemble_H, assemble_Z, coeff_a, delta_op,
-                               modularity_residual, neville_at_zero,
+                               finite_part_prediction, modularity_residual,
                                pole_finite_part, pole_residue, xi_op)
-from support import bessel_weights_scipy, kloosterman_k
+from support import (bessel_weights_scipy, kloosterman_k, neville_at_zero,
+                     pole_finite_part_neville)
 
 
 class TestCoeffA:
@@ -55,6 +57,19 @@ class TestCoeffA:
         assert res.pole_subtracted
         assert abs(res.value) < 1e4
 
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_pole_subtracted_at_three_quarters(self, ctx30, ktable, n):
+        # the constant term a0 at s = 3/4 is the h -> 0 limit of the
+        # pole-subtracted value at s = 3/4 + h, which is a0 + O(h): one
+        # Richardson step from h = 1e-6 and 1e-7
+        s = mp.mpf(3) / 4
+        a0 = coeff_a(n, s, 2000, ctx30, ktable, pole_subtracted=True)
+        assert a0.pole_subtracted and a0.s == s
+        with mp.workdps(40):
+            v1, v2 = (coeff_a(n, s + h, 2000, ctx30, ktable, pole_subtracted=True).value
+                      for h in (mp.mpf("1e-6"), mp.mpf("1e-7")))
+            assert abs(v2 + (v2 - v1) / 9 - a0.value) < mp.mpf("1e-11")
+
     def test_neville(self):
         hs = [mp.mpf(2) ** -k for k in range(6)]
         vs = [3 + 2 * h - h ** 2 for h in hs]
@@ -73,8 +88,47 @@ class TestPoleStructure:
         assert abs(res - (-1)) < mp.mpf("1e-3")
         assert abs(res - (-1)) <= spread
 
+    @pytest.mark.parametrize("n", [1, 25, 49, 121])
+    def test_residue_to_the_digits(self, ctx30, n):
+        # c(3/4) r with no c-sum in it: chi12(sqrt n) to 10^-digits at any c_max
+        for c_max in (100, 10_000):
+            res, err = pole_residue(n, c_max, ctx30)
+            assert abs(res - chi12_sqrt(n)) <= min(err, mp.mpf("1e-30")), (n, c_max)
+
+    def test_pole_functions_reject_nonsquare_index(self, ctx30):
+        for fn in (pole_residue, pole_finite_part):
+            for n in (73, -23, 4):
+                with pytest.raises(ValueError):
+                    fn(n, 100, ctx30)
+
+    @pytest.mark.parametrize("c_max", [2000, 5000])
+    @pytest.mark.parametrize("n", [1, 25, 49])
+    def test_finite_part_matches_neville_oracle(self, ctx30, ktable, n, c_max):
+        fp, _ = pole_finite_part(n, c_max, ctx30, ktable)
+        oracle = pole_finite_part_neville(n, c_max, ctx30, ktable)
+        assert abs(fp - oracle) < mp.mpf("1e-11"), (n, c_max)
+
+    def test_c_slope_matches_central_difference(self):
+        # c_factor rounds s to ctx.digits + 10, so the difference is taken by
+        # hand (mp.diff would see a constant)
+        ctx = PrecisionContext(digits=60)
+        with mp.workdps(70):
+            s, h = mp.mpf(3) / 4, mp.mpf("1e-15")
+            diff = (c_factor(s + h, ctx) - c_factor(s - h, ctx)) / (2 * h)
+            slope = c_factor(s, ctx) * spectral._c_log_slope()
+            assert abs(diff - slope) < mp.mpf("1e-25")
+
+    @pytest.mark.parametrize("n", [1, 25, 49, 121])
+    def test_finite_part_err_covers_prediction(self, ctx30, ktable, n):
+        # the truncation envelope covers the distance to the square-trace
+        # prediction (by a factor of 2.3 or more in each of these cases)
+        pred = finite_part_prediction(n, ctx30)
+        for c_max in (1000, 2000, 5000, 10_000):
+            fp, err = pole_finite_part(n, c_max, ctx30, ktable)
+            assert abs(fp - pred) <= err, (n, c_max)
+
     def test_residue_independent_of_ambient_precision(self, ctx30, ktable):
-        # the s grid and the pole-carrying tail term follow ctx, not mp.dps
+        # the pole-carrying tail term follows ctx, not mp.dps
         for n in (1, 25):
             values = []
             for ambient in (15, 60):
@@ -87,36 +141,18 @@ class TestPoleStructure:
 
 
 class TestGridCaches:
-    """pole_residue and pole_finite_part read one s-grid: its Bessel weight
-    rows and c(s) are built once, and a warm call returns the bits of a
-    cold one."""
-
-    def test_caches_are_module_functools_caches(self):
-        # the scan a benchmark uses to clear every package cache between rounds
-        for mod, fn in ((spectral, spectral._bessel_weights), (special, special.c_factor)):
-            found = [v for v in vars(mod).values()
-                     if hasattr(v, "cache_clear") and hasattr(v, "cache_info")]
-            assert any(v is fn for v in found), fn
+    """A second call of a pole function returns the bits of the first,
+    with the Kloosterman table cold or warm."""
 
     @pytest.mark.parametrize("with_table", [True, False])
     def test_warm_poles_are_bit_identical(self, ctx30, ktable, with_table):
         table = ktable if with_table else None
         for fn in (pole_residue, pole_finite_part):
             for n in (1, 25):
-                for cache in (spectral._bessel_weights, special.c_factor,
-                              kloosterman_table):
-                    cache.cache_clear()
+                kloosterman_table.cache_clear()
                 cold = fn(n, 5000, ctx30, table)
-                hits = spectral._bessel_weights.cache_info().hits
                 warm = fn(n, 5000, ctx30, table)
-                # seven grid points, each row and c(s) taken from the caches
-                assert spectral._bessel_weights.cache_info().hits == hits + 7
                 assert [v._mpf_ for v in warm] == [v._mpf_ for v in cold], (fn, n)
-
-    def test_weight_rows_are_read_only(self):
-        w = spectral._bessel_weights(25, 0.76, 100)
-        with pytest.raises(ValueError):
-            w[0] = 0.0
 
 
 class TestBesselWeights:
@@ -126,7 +162,8 @@ class TestBesselWeights:
                                    601, 9601])
     def test_rows_match_scipy(self, n):
         # n >= 59 take c < pi sqrt n / 24 from mpmath, the rest the series
-        for s in [float(s) for s in spectral.s_grid()] + [0.75, 1.0, 1.1, 2.0]:
+        for s in (0.76, 0.755, 0.7525, 0.75125, 0.750625, 0.7503125, 0.75015625,
+                  0.75, 1.0, 1.1, 2.0):
             w = spectral._bessel_weights(n, s, 10_000)
             ref = bessel_weights_scipy(n, s, 10_000)
             assert w.shape == ref.shape
@@ -140,7 +177,7 @@ class TestBesselWeights:
         for n, big in ((-23, 0), (25, 0), (73, 1), (145, 1), (-479, 0), (361, 2),
                        (-9601, 0), (9601, 12)):
             args.clear()
-            spectral._bessel_weights.__wrapped__(n, 0.76, 100)
+            spectral._bessel_weights(n, 0.76, 100)
             assert len(args) == big, n
             assert all(x > spectral._BESSEL_X0 for x in args), n
 
